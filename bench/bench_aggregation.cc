@@ -11,12 +11,9 @@
 // §4.2.3 caveats where range partitioning loses to local/global ("range
 // partitioning in the TDE is applied conservatively today").
 //
-// Manual time = modeled multi-core makespan (bench_util.h); wall_ms is the
-// measured single-host time.
+// The reported time is real wall clock on the host's cores.
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -87,7 +84,6 @@ std::shared_ptr<tde::Database> ShapedDb(Shape shape) {
 
 tde::QueryOptions OptionsFor(Strategy strategy) {
   tde::QueryOptions o;
-  o.serial_exchange_for_measurement = true;
   o.parallel.max_dop = 4;
   o.parallel.min_rows_per_fraction = 4096;
   o.optimizer.enable_streaming_agg = false;  // isolate the hash strategies
@@ -124,29 +120,16 @@ void BM_AggregationStrategy(benchmark::State& state) {
       "(aggregate ((key key)) ((total sum val) (mean avg val2) (n count*))"
       " (scan fact))";
 
-  double wall_total = 0;
   bool used_range = false, used_lg = false;
   for (auto _ : state) {
-    auto started = std::chrono::steady_clock::now();
     auto result = engine.Execute(tql, options);
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    wall_total += wall_ms;
     used_range = result->stats->used_range_partition;
     used_lg = result->stats->used_local_global_agg;
-    double modeled =
-        strategy == Strategy::kSerial
-            ? wall_ms
-            : benchutil::ModeledParallelMs(wall_ms, *result->stats);
-    state.SetIterationTime(modeled / 1000.0);
   }
-  state.counters["wall_ms"] =
-      benchmark::Counter(wall_total / state.iterations());
   state.counters["range"] = used_range ? 1 : 0;
   state.counters["localglobal"] = used_lg ? 1 : 0;
   state.SetLabel(ShapeName(shape));
@@ -165,7 +148,7 @@ void RegisterAll() {
       }
       benchmark::RegisterBenchmark(name.c_str(), BM_AggregationStrategy)
           ->Args({shape, strategy})
-          ->UseManualTime()
+          ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
     }
   }

@@ -1,15 +1,12 @@
 // E4 (§4.2, Fig. 3): parallel scans via the Exchange operator reduce
 // single-query latency. Sweeps the degree of parallelism for an
-// aggregation scan over the FAA fact table; manual time is the modeled
-// multi-core makespan, the `wall_ms` counter is the measured single-host
-// time (see bench_util.h).
+// aggregation scan over the FAA fact table; the reported time is real wall
+// clock on the host's cores.
 //
 // Also sweeps an expensive-expression variant (§4.2.2's cost profile: the
 // parallelizer weighs per-row expression cost when picking the DOP).
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
 
 #include "bench/bench_util.h"
 
@@ -33,28 +30,15 @@ void RunPlan(benchmark::State& state, const std::string& tql, int dop) {
   // one on plain exchange plans to isolate the scan parallelism.
   options.parallel.enable_range_partition = false;
   options.optimizer.enable_streaming_agg = false;
-  options.serial_exchange_for_measurement = true;
 
-  double wall_total = 0;
   for (auto _ : state) {
-    auto started = std::chrono::steady_clock::now();
     auto result = engine.Execute(tql, options);
-    double wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    wall_total += wall_ms;
-    double modeled = dop <= 1
-                         ? wall_ms
-                         : benchutil::ModeledParallelMs(wall_ms,
-                                                        *result->stats);
-    state.SetIterationTime(modeled / 1000.0);
+    benchmark::DoNotOptimize(result->table.num_rows());
   }
-  state.counters["wall_ms"] =
-      benchmark::Counter(wall_total / state.iterations());
   state.counters["dop"] = dop;
 }
 
@@ -66,7 +50,7 @@ void BM_ParallelScan_Aggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelScan_Aggregate)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseManualTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ParallelScan_FilteredAggregate(benchmark::State& state) {
   RunPlan(state,
@@ -76,10 +60,10 @@ void BM_ParallelScan_FilteredAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelScan_FilteredAggregate)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseManualTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Expensive per-row expressions (string transforms) shift more of the
-// runtime into the parallel section, improving the modeled speedup.
+// runtime into the parallel section, improving the speedup.
 void BM_ParallelScan_ExpensiveExpressions(benchmark::State& state) {
   RunPlan(state,
           "(aggregate ((m (substr (lower market) 1 3)))"
@@ -88,7 +72,7 @@ void BM_ParallelScan_ExpensiveExpressions(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelScan_ExpensiveExpressions)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseManualTime()->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -5,14 +5,14 @@
 //
 // §4.3's caveat is measured too: "this approach does not always make the
 // query execution faster ... it may also reduce the degree of parallelism
-// [and] introduce data skew among threads". At high selectivity (most rows
-// kept) the serial index scan loses to the plain *parallel* scan; at low
-// selectivity range skipping wins big. The `index_modeled_ms` and
-// `scan_modeled_ms` counters carry the parallel-plan comparison.
+// [and] introduce data skew among threads". At low selectivity range
+// skipping wins big; BM_RleIndexSkewCaveat isolates the case where the
+// index path's lost parallelism makes it the slower parallel plan.
+// BM_RleIndex's `par_ms` counter carries the parallel-plan comparison:
+// the median wall time of the same query as a DOP-4 plan. All times are
+// real wall clock on the host's cores.
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -75,23 +75,13 @@ void BM_RleIndex(benchmark::State& state) {
     benchmark::DoNotOptimize(result->table.num_rows());
   }
 
-  // The §4.3 plan-choice comparison: modeled parallel plain scan vs
-  // modeled parallel index scan (the index path may have fewer/skewed
-  // fractions).
+  // The §4.3 plan-choice comparison: parallel plain scan vs parallel
+  // index scan (the index path may have fewer/skewed fractions).
   tde::QueryOptions par = options;
   par.parallel.enable_parallel = true;
   par.parallel.max_dop = 4;
   par.parallel.min_rows_per_fraction = 4096;
-  par.serial_exchange_for_measurement = true;
-  auto t0 = std::chrono::steady_clock::now();
-  auto pr = engine.Execute(tql, par);
-  double wall = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  if (pr.ok()) {
-    state.counters["par_modeled_ms"] =
-        benchutil::ModeledParallelMs(wall, *pr->stats);
-  }
+  state.counters["par_ms"] = benchutil::TimeQuery(engine, tql, par).median;
   state.counters["selectivity_pct"] = 100.0 * selected / kKeyCardinality;
   state.counters["rows_scanned"] = static_cast<double>(rows_scanned);
   state.SetLabel(use_index ? "index" : "scan");
@@ -133,29 +123,19 @@ void BM_RleIndexSkewCaveat(benchmark::State& state) {
                                 : tde::OptimizerOptions::RleIndexMode::kOff;
   par.parallel.max_dop = 8;
   par.parallel.min_rows_per_fraction = 4096;
-  par.serial_exchange_for_measurement = true;
   // The per-selected-row work (a string expression in the aggregation) is
   // what the lost parallelism fails to spread across threads.
   const std::string tql =
       "(aggregate () ((total sum (strlen (lower tag)))) "
       "(select (= key 0) (scan fact)))";
-  double wall_total = 0;
   for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
     auto result = engine.Execute(tql, par);
-    double wall = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
     }
-    wall_total += wall;
-    state.SetIterationTime(
-        benchutil::ModeledParallelMs(wall, *result->stats) / 1000.0);
+    benchmark::DoNotOptimize(result->table.num_rows());
   }
-  state.counters["wall_ms"] =
-      benchmark::Counter(wall_total / state.iterations());
   state.SetLabel(use_index ? "index (1 giant range, dop 1)"
                            : "scan (8 fractions)");
 }
@@ -168,7 +148,7 @@ void RegisterAll() {
             .c_str(),
         BM_RleIndexSkewCaveat)
         ->Arg(use_index)
-        ->UseManualTime()
+        ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
   }
   for (int selected : {1, 4, 16, 48, 64}) {
@@ -178,6 +158,7 @@ void RegisterAll() {
                          (use_index ? "index" : "scan");
       benchmark::RegisterBenchmark(name.c_str(), BM_RleIndex)
           ->Args({selected, use_index})
+          ->UseRealTime()
           ->Unit(benchmark::kMillisecond);
     }
   }

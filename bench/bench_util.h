@@ -1,27 +1,20 @@
 // Shared helpers for the experiment benches (see DESIGN.md's
 // per-experiment index and EXPERIMENTS.md for the result log).
 //
-// Single-core note: this repository's benches may run on a 1-CPU host,
-// where real threads cannot show CPU-parallel speedups. TDE parallel-plan
-// benches therefore report a *modeled* multi-core makespan computed from
-// per-fraction work measurements:
-//
-//   modeled = (wall - sum_of_fraction_times) + critical_path
-//
-// where critical_path sums, over each parallel section (scan fan-out, the
-// partitioned join build's stages, the partitioned final merge), the
-// slowest fraction of that section — sections run back-to-back, fractions
-// within a section run concurrently. I.e. the serial sections as measured
-// plus the per-section stragglers, which is what an idle multi-core host
-// would realize. Both numbers are reported; I/O-bound benches (simulated
-// remote sources) use real wall time, since sleeping connections overlap
-// regardless of core count.
+// TDE parallel-plan benches time real wall clock on the cores of the host
+// that runs them; record `nproc` next to any speedup they report.
 
 #ifndef VIZQUERY_BENCH_BENCH_UTIL_H_
 #define VIZQUERY_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/tde/engine.h"
 #include "src/workload/faa_generator.h"
@@ -46,13 +39,36 @@ inline std::shared_ptr<tde::Database> FaaDb(int64_t rows,
   return *db;
 }
 
-// Modeled multi-core makespan in milliseconds (see the header comment).
-inline double ModeledParallelMs(double wall_ms, const tde::ExecStats& stats) {
-  double sum_ms = stats.SumFractionSeconds() * 1000.0;
-  double path_ms = stats.CriticalPathSeconds() * 1000.0;
-  double serial_ms = wall_ms - sum_ms;
-  if (serial_ms < 0) serial_ms = 0;
-  return serial_ms + path_ms;
+// Wall-clock spread of repeated runs, in milliseconds.
+struct WallMs {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+// Timed runs per configuration; odd, so the median is one of them.
+inline constexpr int kTimedRuns = 5;
+
+// Times `tql` under `options`: one warm-up run, then kTimedRuns timed runs
+// of Execute(). Exits with status 1 if the query fails.
+inline WallMs TimeQuery(tde::TdeEngine& engine, const std::string& tql,
+                        const tde::QueryOptions& options) {
+  std::vector<double> ms;
+  for (int i = 0; i <= kTimedRuns; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto result = engine.Execute(tql, options);
+    auto t1 = std::chrono::steady_clock::now();
+    if (!result.ok()) {
+      std::fprintf(stderr, "query failed: %s\n",
+                   result.status().ToString().c_str());
+      std::exit(1);
+    }
+    if (i > 0) {
+      ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+  }
+  std::sort(ms.begin(), ms.end());
+  return WallMs{ms[kTimedRuns / 2], ms.front(), ms.back()};
 }
 
 }  // namespace vizq::benchutil

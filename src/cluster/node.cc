@@ -14,6 +14,12 @@ namespace {
 constexpr uint8_t kMaxServedFrom =
     static_cast<uint8_t>(dashboard::ServedFrom::kFailed);
 constexpr uint8_t kMaxTaskClass = static_cast<uint8_t>(TaskClass::kBackground);
+// Smallest encoded batch entry: a request query's length prefix; a
+// response table's length prefix, served_from byte and two F64 timings.
+// A count the remaining payload cannot hold is corrupt and must not size
+// an allocation.
+constexpr size_t kMinRequestEntryBytes = 4;
+constexpr size_t kMinResponseEntryBytes = 4 + 1 + 8 + 8;
 
 }  // namespace
 
@@ -37,6 +43,9 @@ DecodeBatchRequest(const std::string& payload) {
   BinaryReader r(payload);
   uint32_t count = 0;
   if (!r.U32(&count)) return DataLoss("batch request: truncated count");
+  if (count > r.remaining() / kMinRequestEntryBytes) {
+    return DataLoss("batch request: implausible count");
+  }
   std::vector<query::AbstractQuery> batch;
   batch.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -85,6 +94,9 @@ StatusOr<NodeBatchResult> DecodeBatchResponse(const std::string& payload) {
   BinaryReader r(payload);
   uint32_t count = 0;
   if (!r.U32(&count)) return DataLoss("batch response: truncated count");
+  if (count > r.remaining() / kMinResponseEntryBytes) {
+    return DataLoss("batch response: implausible count");
+  }
   NodeBatchResult result;
   result.results.reserve(count);
   result.queries.reserve(count);

@@ -113,6 +113,7 @@ class BinaryReader {
     }
   }
   bool AtEnd() const { return pos_ == data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
   bool Raw(void* p, size_t n) {

@@ -64,6 +64,11 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// Largest valid enum tags in a column header.
+constexpr uint8_t kMaxTypeKind = static_cast<uint8_t>(TypeKind::kDate);
+constexpr uint8_t kMaxCollation =
+    static_cast<uint8_t>(Collation::kCaseInsensitive);
+
 // Value wire tags.
 constexpr uint8_t kTagNull = 0;
 constexpr uint8_t kTagBool = 1;
@@ -209,6 +214,9 @@ StatusOr<ResultTable> ResultTable::Deserialize(const std::string& bytes) {
     uint8_t kind, collation;
     if (!r.GetString(&c.name) || !r.GetU8(&kind) || !r.GetU8(&collation)) {
       return DataLoss("ResultTable: truncated column header");
+    }
+    if (kind > kMaxTypeKind || collation > kMaxCollation) {
+      return DataLoss("ResultTable: bad column type");
     }
     c.type.kind = static_cast<TypeKind>(kind);
     c.type.collation = static_cast<Collation>(collation);

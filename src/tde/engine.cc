@@ -31,14 +31,7 @@ StatusOr<LogicalOpPtr> TdeEngine::Compile(const LogicalOpPtr& plan,
   VIZQ_RETURN_IF_ERROR(BindPlan(working, *db_));
   VIZQ_RETURN_IF_ERROR(RewritePlan(&working));
   VIZQ_RETURN_IF_ERROR(OptimizePlan(&working, options.optimizer));
-  ParallelOptions parallel = options.parallel;
-  if (options.serial_exchange_for_measurement) {
-    // Serial measurement runs Exchange inputs one at a time; with a shared
-    // morsel queue the first input would claim every morsel and the
-    // per-fraction timings would be meaningless. Static fractions instead.
-    parallel.enable_morsel = false;
-  }
-  VIZQ_RETURN_IF_ERROR(ParallelizePlan(&working, parallel));
+  VIZQ_RETURN_IF_ERROR(ParallelizePlan(&working, options.parallel));
   // Post-parallelize: the final topology decides where the encoded
   // Scan→Filter→Aggregate path applies (flags on the logical nodes).
   DecideEncodedExec(working, options.optimizer);
@@ -71,7 +64,6 @@ StatusOr<QueryResult> TdeEngine::Execute(const LogicalOpPtr& plan,
   ScopedSpan run_span(ctx.StartSpan("tde:run"));
   ExecContext run_ctx = ctx.WithSpan(run_span.get());
   TranslateOptions translate_options;
-  translate_options.serial_exchange = options.serial_exchange_for_measurement;
   translate_options.priority = options.priority;
   translate_options.parallel_build_min_rows =
       options.parallel.parallel_build_min_rows;

@@ -29,11 +29,6 @@ struct QueryOptions {
   OptimizerOptions optimizer;
   ParallelOptions parallel;
 
-  // Benchmarking aid: run Exchange inputs serially with per-fraction
-  // timing (identical results; contention-free fraction times for the
-  // modeled-makespan reporting on single-core hosts — bench/bench_util.h).
-  bool serial_exchange_for_measurement = false;
-
   // Collect operator-level EXPLAIN ANALYZE stats (rows/batches/wall time
   // per plan node) into QueryResult::analysis. Cheap (a few atomic adds
   // and two clock reads per batch per operator); benches that want the

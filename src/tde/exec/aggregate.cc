@@ -1,7 +1,6 @@
 #include "src/tde/exec/aggregate.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/common/rng.h"
 
@@ -371,10 +370,7 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
   const int prep_tasks =
       static_cast<int>(std::min<size_t>(dop, buffered.size()));
   std::vector<Status> prep_status(std::max(prep_tasks, 1));
-  const int prep_section = stats_ != nullptr ? stats_->NewSection() : 0;
-  auto prep_task = [&](int t) {
-    auto t0 = std::chrono::steady_clock::now();
-    int64_t rows = 0;
+  RunTasks(prep_tasks, merge_.priority, ctx_, "final-merge-prep", [&](int t) {
     Status s;
     for (size_t b = t; b < buffered.size();
          b += static_cast<size_t>(prep_tasks)) {
@@ -400,26 +396,9 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
         }
         p.hashes[r] = h;
       }
-      rows += buffered[b].num_rows;
     }
     prep_status[t] = s;
-    if (stats_ != nullptr) {
-      double seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      stats_->AddFraction(seconds, rows, prep_section,
-                          ExecStats::kStageMerge);
-    }
-  };
-  if (merge_.serial_measurement || prep_tasks <= 1) {
-    for (int t = 0; t < prep_tasks; ++t) prep_task(t);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int t = 0; t < prep_tasks; ++t) {
-      group.Spawn([&prep_task, t] { prep_task(t); }, "final-merge-prep");
-    }
-    group.Wait();
-  }
+  });
   for (const Status& s : prep_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }
@@ -436,15 +415,12 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
   // falls in its partition, into its own GroupTable — no shared mutable
   // state, no locking.
   std::vector<Status> task_status(parts);
-  const int section = stats_ != nullptr ? stats_->NewSection() : 0;
-  auto merge_task = [&](int p) {
-    auto t0 = std::chrono::steady_clock::now();
+  RunTasks(parts, merge_.priority, ctx_, "final-merge", [&](int p) {
     // Constructing (and, in the emit task, freeing) the partition table is
-    // real per-partition work; doing it here keeps it on the task's clock.
+    // real per-partition work; doing it here spreads it across the tasks.
     merge_tables_[p] = NewGroupTable();
     GroupTable& gt = merge_tables_[p];
     const uint64_t want = static_cast<uint64_t>(p);
-    int64_t merged = 0;
     Status s;
     for (const Prepared& pb : prepared) {
       s = ctx_.CheckContinue("final merge");
@@ -458,26 +434,10 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
                                  r);
           col += widths[sp];
         }
-        ++merged;
       }
     }
     task_status[p] = s;
-    if (stats_ != nullptr) {
-      double seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      stats_->AddFraction(seconds, merged, section, ExecStats::kStageMerge);
-    }
-  };
-  if (merge_.serial_measurement) {
-    for (int p = 0; p < parts; ++p) merge_task(p);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int p = 0; p < parts; ++p) {
-      group.Spawn([&merge_task, p] { merge_task(p); }, "final-merge");
-    }
-    group.Wait();
-  }
+  });
   for (const Status& s : task_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }
@@ -487,9 +447,7 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
   // much as the merge itself. Partitions materialize their own batches.
   std::vector<std::vector<Batch>> emitted(parts);
   std::vector<Status> emit_status(parts);
-  const int emit_section = stats_ != nullptr ? stats_->NewSection() : 0;
-  auto emit_task = [&](int p) {
-    auto t0 = std::chrono::steady_clock::now();
+  RunTasks(parts, merge_.priority, ctx_, "final-merge-emit", [&](int p) {
     const GroupTable& gt = merge_tables_[p];
     Status s;
     int64_t g = 0;
@@ -504,28 +462,11 @@ Status HashAggregateOperator::ConsumeFinalParallel() {
       g = end;
     }
     emit_status[p] = s;
-    const int64_t emitted_groups = gt.num_groups;
     // Free this partition's table here: a couple hundred thousand bucket
     // vectors take real time to release, and each partition's are
-    // independent — parallel teardown, on this task's clock.
+    // independent — parallel teardown.
     merge_tables_[p] = GroupTable{};
-    if (stats_ != nullptr) {
-      double seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      stats_->AddFraction(seconds, emitted_groups, emit_section,
-                          ExecStats::kStageMerge);
-    }
-  };
-  if (merge_.serial_measurement || parts <= 1) {
-    for (int p = 0; p < parts; ++p) emit_task(p);
-  } else {
-    TaskGroup group(&Scheduler::Global(), merge_.priority, ctx_);
-    for (int p = 0; p < parts; ++p) {
-      group.Spawn([&emit_task, p] { emit_task(p); }, "final-merge-emit");
-    }
-    group.Wait();
-  }
+  });
   for (const Status& s : emit_status) {
     VIZQ_RETURN_IF_ERROR(s);
   }

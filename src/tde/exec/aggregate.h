@@ -65,9 +65,6 @@ struct AggMergeOptions {
   int merge_dop = 1;                 // >1: partitioned parallel merge
   int64_t min_parallel_rows = 4096;  // serial below this many partial rows
   TaskClass priority = TaskClass::kInteractive;  // the query's class
-  // Measurement mode (single-core host): run the merge tasks one at a
-  // time and record per-task fraction timings.
-  bool serial_measurement = false;
 };
 
 class HashAggregateOperator : public Operator {

@@ -5,17 +5,12 @@
 namespace vizq::tde {
 
 ExchangeOperator::ExchangeOperator(std::vector<OperatorPtr> inputs,
-                                   ExecStats* stats, bool serial_measurement,
                                    const ExecContext& ctx,
-                                   Scheduler* scheduler, TaskClass priority,
-                                   int stage)
+                                   Scheduler* scheduler, TaskClass priority)
     : inputs_(std::move(inputs)),
-      stats_(stats),
       ctx_(ctx),
       scheduler_(scheduler != nullptr ? scheduler : &Scheduler::Global()),
-      priority_(priority),
-      stage_(stage),
-      serial_measurement_(serial_measurement) {}
+      priority_(priority) {}
 
 ExchangeOperator::~ExchangeOperator() { StopProducers(); }
 
@@ -29,19 +24,12 @@ Status ExchangeOperator::Open() {
     cancelled_ = false;
     first_error_ = OkStatus();
     live_producers_ = static_cast<int>(inputs_.size());
-    serial_done_ = false;
   }
   // Re-opening re-scans: rewind the shared morsel cursors before any
   // producer starts claiming (a second Open would otherwise silently
   // return zero rows from the drained queues).
   for (const MorselQueuePtr& q : morsel_queues_) q->Reset();
   consumer_tid_ = std::this_thread::get_id();
-  // This fan-out is one parallel section of the plan's timeline.
-  section_ = stats_ != nullptr ? stats_->NewSection() : 0;
-  if (serial_measurement_) {
-    opened_ = true;
-    return OkStatus();  // inputs run lazily on first Next()
-  }
   const int n = static_cast<int>(inputs_.size());
   // Zero-initialized: all inputs unclaimed.
   claimed_ = std::make_unique<std::atomic<bool>[]>(n);
@@ -71,42 +59,8 @@ bool ExchangeOperator::ClaimProducer(int input_index) {
   return !claimed_[input_index].exchange(true, std::memory_order_acq_rel);
 }
 
-Status ExchangeOperator::RunInputsSerially() {
-  // Contention-free per-fraction timing: one input at a time, all batches
-  // buffered. max_queue_ does not apply in this mode. All Opens run first,
-  // untimed: a blocking hash-join build in the first input's Open is
-  // accounted by its own kStageBuild fractions (and the build side's
-  // serial consume by the wall-minus-fractions remainder), not smeared
-  // into that input's probe fraction.
-  for (auto& input : inputs_) {
-    VIZQ_RETURN_IF_ERROR(input->Open());
-  }
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    auto started = std::chrono::steady_clock::now();
-    Operator* input = inputs_[i].get();
-    int64_t rows = 0;
-    Batch batch;
-    while (true) {
-      VIZQ_ASSIGN_OR_RETURN(bool more, input->Next(&batch));
-      if (!more) break;
-      rows += batch.num_rows;
-      queue_.push_back(std::move(batch));
-    }
-    VIZQ_RETURN_IF_ERROR(input->Close());
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
-    if (stats_ != nullptr) stats_->AddFraction(seconds, rows, section_, stage_);
-  }
-  live_producers_ = 0;
-  serial_done_ = true;
-  return OkStatus();
-}
-
 void ExchangeOperator::ProducerLoop(int input_index, bool bounded) {
-  auto started = std::chrono::steady_clock::now();
   Operator* input = inputs_[input_index].get();
-  int64_t rows = 0;
   Status status;
   bool stopped_before_start;
   {
@@ -124,7 +78,6 @@ void ExchangeOperator::ProducerLoop(int input_index, bool bounded) {
           break;
         }
         if (!*more) break;
-        rows += batch.num_rows;
         std::unique_lock<std::mutex> lock(mu_);
         // The context cannot signal this CV, so a producer blocked on a
         // full queue waits in timed slices and polls it: a cancel or an
@@ -148,10 +101,6 @@ void ExchangeOperator::ProducerLoop(int input_index, bool bounded) {
       Status close_status = input->Close();
       if (status.ok()) status = close_status;
     }
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - started)
-                         .count();
-    if (stats_ != nullptr) stats_->AddFraction(seconds, rows, section_, stage_);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,7 +115,7 @@ bool ExchangeOperator::RunOneProducerInline() {
     if (ClaimProducer(i)) {
       // Unbounded: the consumer cannot simultaneously drain the queue, so
       // respecting max_queue_ here would deadlock against ourselves.
-      // Memory stays bounded by the input's size, like serial mode.
+      // Memory stays bounded by the input's size.
       ProducerLoop(i, /*bounded=*/false);
       return true;
     }
@@ -175,13 +124,6 @@ bool ExchangeOperator::RunOneProducerInline() {
 }
 
 StatusOr<bool> ExchangeOperator::Next(Batch* batch) {
-  if (serial_measurement_) {
-    if (!serial_done_) VIZQ_RETURN_IF_ERROR(RunInputsSerially());
-    if (queue_.empty()) return false;
-    *batch = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   int idle_spins = 0;
   while (true) {

@@ -14,16 +14,10 @@
 //   * saturation robustness: every producer input is guarded by a claim
 //     flag. When the scheduler is saturated (queued producers not yet
 //     dispatched) and the consumer has nothing to read, the consumer
-//     claims an unstarted input and runs it inline (unbounded buffering,
-//     like serial-measurement mode), so an Exchange can always drain even
-//     with zero available workers;
+//     claims an unstarted input and runs it inline (unbounded buffering),
+//     so an Exchange can always drain even with zero available workers;
 //   * observability: producer wait/run times land in the sched.* metrics
 //     and scheduler spans like every other task.
-//
-// Each producer's wall-clock time and row count are recorded into
-// ExecStats; on a single-core host these per-fraction timings let benches
-// report the modeled multi-core makespan (max over fractions) alongside
-// the measured single-core total.
 
 #ifndef VIZQUERY_TDE_EXEC_EXCHANGE_H_
 #define VIZQUERY_TDE_EXEC_EXCHANGE_H_
@@ -44,22 +38,14 @@ namespace vizq::tde {
 
 class ExchangeOperator : public Operator {
  public:
-  // All inputs must share one output schema. `stats` may be null.
-  // With `serial_measurement` set, inputs are executed one after another
-  // on the consumer thread (buffering their batches) instead of as
-  // producer tasks: results are identical, but each fraction's recorded
-  // time is contention-free, which is what the modeled-makespan reporting
-  // on single-core hosts needs (see bench/bench_util.h).
-  // `scheduler` defaults to Scheduler::Global(). Producers are submitted
-  // under `priority` — the query's class, threaded in by the translator.
-  // `stage` tags this Exchange's fraction timings (probe-side scans vs a
-  // build-side Exchange, ExecStats::kStage*).
-  ExchangeOperator(std::vector<OperatorPtr> inputs, ExecStats* stats,
-                   bool serial_measurement = false,
-                   const ExecContext& ctx = ExecContext::Background(),
-                   Scheduler* scheduler = nullptr,
-                   TaskClass priority = TaskClass::kInteractive,
-                   int stage = 0 /* ExecStats::kStageScan */);
+  // All inputs must share one output schema. `scheduler` defaults to
+  // Scheduler::Global(). Producers are submitted under `priority` — the
+  // query's class, threaded in by the translator.
+  explicit ExchangeOperator(
+      std::vector<OperatorPtr> inputs,
+      const ExecContext& ctx = ExecContext::Background(),
+      Scheduler* scheduler = nullptr,
+      TaskClass priority = TaskClass::kInteractive);
   ~ExchangeOperator() override;
 
   const BatchSchema& schema() const override { return inputs_[0]->schema(); }
@@ -87,16 +73,11 @@ class ExchangeOperator : public Operator {
   // input and run it inline. False when every input is claimed.
   bool RunOneProducerInline();
   void StopProducers();
-  Status RunInputsSerially();
 
   std::vector<OperatorPtr> inputs_;
-  ExecStats* stats_;
   ExecContext ctx_;
   Scheduler* scheduler_;
   TaskClass priority_;
-  int stage_;
-  // Parallel-section id of the current Open()'s producer fan-out.
-  int section_ = 0;
 
   std::mutex mu_;
   std::condition_variable can_push_;
@@ -114,8 +95,6 @@ class ExchangeOperator : public Operator {
   // cannot drain its own queue while inside the producer.
   std::thread::id consumer_tid_;
   bool opened_ = false;
-  bool serial_measurement_ = false;
-  bool serial_done_ = false;
 };
 
 }  // namespace vizq::tde

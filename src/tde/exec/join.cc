@@ -31,11 +31,6 @@ inline bool HashKeysAt(const std::vector<ColumnVector>& key_cols, int64_t r,
   return false;
 }
 
-inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 }  // namespace
 
 SharedBuildState::SharedBuildState(OperatorPtr right,
@@ -103,9 +98,7 @@ Status SharedBuildState::Build(const ExecContext& ctx) {
   const int ncols = static_cast<int>(build_.columns.size());
   if (ncols > 0 && rows > 0) {
     std::vector<Status> mat_status(ncols);
-    const int mat_section = options_.stats ? options_.stats->NewSection() : 0;
     auto mat_task = [&](int c) {
-      auto t0 = std::chrono::steady_clock::now();
       Status s;
       for (const Batch& b : staged) {
         s = ctx.CheckContinue("hash join build");
@@ -119,13 +112,9 @@ Status SharedBuildState::Build(const ExecContext& ctx) {
         }
       }
       mat_status[c] = s;
-      if (options_.stats != nullptr) {
-        options_.stats->AddFraction(SecondsSince(t0), rows, mat_section,
-                                    ExecStats::kStageBuild);
-      }
     };
     if (options_.build_dop > 1) {
-      RunBuildTasks(ncols, ctx, mat_task);
+      RunTasks(ncols, options_.priority, ctx, "join-build", mat_task);
     } else {
       for (int c = 0; c < ncols; ++c) mat_task(c);
     }
@@ -162,21 +151,6 @@ Status SharedBuildState::BuildSerial(const ExecContext& ctx, int64_t rows) {
   return OkStatus();
 }
 
-void SharedBuildState::RunBuildTasks(int n, const ExecContext& ctx,
-                                     const std::function<void(int)>& fn) {
-  if (options_.serial_measurement || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // The TaskGroup inherits the query's priority class; Wait() on a worker
-  // thread steals queued build tasks instead of parking (scheduler.h).
-  TaskGroup group(&Scheduler::Global(), options_.priority, ctx);
-  for (int i = 0; i < n; ++i) {
-    group.Spawn([&fn, i] { fn(i); }, "join-build");
-  }
-  group.Wait();
-}
-
 Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,
                                           int64_t rows) {
   const int dop = std::min(options_.build_dop, kMaxBuildPartitions);
@@ -191,10 +165,7 @@ Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,
   // fill hashes_/null_key_ over disjoint ranges (no locking).
   MorselQueue queue(rows, kBuildMorselRows);
   std::vector<Status> task_status(dop);
-  const int hash_section = options_.stats ? options_.stats->NewSection() : 0;
-  RunBuildTasks(dop, ctx, [&](int t) {
-    auto t0 = std::chrono::steady_clock::now();
-    int64_t task_rows = 0;
+  RunTasks(dop, options_.priority, ctx, "join-build", [&](int t) {
     int64_t morsels = 0;
     int64_t begin = 0, end = 0;
     Status s;
@@ -207,13 +178,10 @@ Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,
         null_key_[r] = HashKeysAt(key_cols_, r, &h) ? 1 : 0;
         hashes_[r] = h;
       }
-      task_rows += end - begin;
     }
     task_status[t] = s;
     ctx.Count("tde.join.build_morsels", morsels);
     if (options_.stats != nullptr) {
-      options_.stats->AddFraction(SecondsSince(t0), task_rows, hash_section,
-                                  ExecStats::kStageBuild);
       std::lock_guard<std::mutex> lock(options_.stats->mu);
       options_.stats->join_build_morsels += morsels;
     }
@@ -227,12 +195,9 @@ Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,
   // partition map has a single writer and needs no lock. The result is
   // sealed read-only before any probe starts.
   std::vector<Status> insert_status(parts);
-  const int insert_section = options_.stats ? options_.stats->NewSection() : 0;
-  RunBuildTasks(parts, ctx, [&](int p) {
-    auto t0 = std::chrono::steady_clock::now();
+  RunTasks(parts, options_.priority, ctx, "join-build", [&](int p) {
     auto& part = partitions_[p];
     const uint64_t want = static_cast<uint64_t>(p);
-    int64_t inserted = 0;
     Status s;
     for (int64_t r = 0; r < rows; ++r) {
       if ((r % kBuildPollRows) == 0) {
@@ -243,13 +208,8 @@ Status SharedBuildState::BuildPartitioned(const ExecContext& ctx,
       const uint64_t h = hashes_[r];
       if ((h & partition_mask_) != want) continue;
       part[h].push_back(r);
-      ++inserted;
     }
     insert_status[p] = s;
-    if (options_.stats != nullptr) {
-      options_.stats->AddFraction(SecondsSince(t0), inserted, insert_section,
-                                  ExecStats::kStageBuild);
-    }
   });
   for (const Status& s : insert_status) {
     VIZQ_RETURN_IF_ERROR(s);

@@ -38,10 +38,7 @@ struct JoinBuildOptions {
   int build_dop = 1;                  // >1: partitioned parallel build
   int64_t min_parallel_rows = 65536;  // serial below this many build rows
   TaskClass priority = TaskClass::kInteractive;  // the query's class
-  // Measurement mode (single-core host): run the build tasks one at a time
-  // and record per-task fraction timings instead of spawning a TaskGroup.
-  bool serial_measurement = false;
-  ExecStats* stats = nullptr;  // optional; fraction timings + counters
+  ExecStats* stats = nullptr;  // optional; build counters
 };
 
 // The materialized right side plus its hash-partitioned table; build-once.
@@ -82,10 +79,6 @@ class SharedBuildState {
   Status Build(const ExecContext& ctx);
   Status BuildSerial(const ExecContext& ctx, int64_t rows);
   Status BuildPartitioned(const ExecContext& ctx, int64_t rows);
-  // Runs fn(0..n-1): on a TaskGroup under options_.priority, or
-  // sequentially in serial-measurement mode.
-  void RunBuildTasks(int n, const ExecContext& ctx,
-                     const std::function<void(int)>& fn);
 
   std::mutex mu_;
   std::condition_variable build_cv_;

@@ -1,48 +1,20 @@
 #include "src/tde/exec/operators.h"
 
 #include <algorithm>
-#include <map>
 
 namespace vizq::tde {
 
-double ExecStats::MaxFractionSeconds() const {
-  double mx = 0;
-  for (const FractionStat& f : fractions) mx = std::max(mx, f.seconds);
-  return mx;
-}
-
-double ExecStats::SumFractionSeconds() const {
-  double sum = 0;
-  for (const FractionStat& f : fractions) sum += f.seconds;
-  return sum;
-}
-
-namespace {
-
-// Sum over sections of the slowest matching fraction. `stage` < 0 means all
-// stages. Fractions of one section ran concurrently (critical path = their
-// max); distinct sections ran back-to-back (sum their maxima).
-double SectionedCriticalPath(const std::vector<ExecStats::FractionStat>& fs,
-                             int stage) {
-  std::map<int, double> max_by_section;
-  for (const ExecStats::FractionStat& f : fs) {
-    if (stage >= 0 && f.stage != stage) continue;
-    double& mx = max_by_section[f.section];
-    mx = std::max(mx, f.seconds);
+void RunTasks(int n, TaskClass priority, const ExecContext& ctx,
+              const char* task_name, const std::function<void(int)>& fn) {
+  if (n <= 1) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
   }
-  double total = 0;
-  for (const auto& [section, mx] : max_by_section) total += mx;
-  return total;
-}
-
-}  // namespace
-
-double ExecStats::CriticalPathSeconds() const {
-  return SectionedCriticalPath(fractions, /*stage=*/-1);
-}
-
-double ExecStats::StageCriticalPathSeconds(int stage) const {
-  return SectionedCriticalPath(fractions, stage);
+  TaskGroup group(&Scheduler::Global(), priority, ctx);
+  for (int i = 0; i < n; ++i) {
+    group.Spawn([&fn, i] { fn(i); }, task_name);
+  }
+  group.Wait();
 }
 
 FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate)

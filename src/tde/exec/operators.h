@@ -7,7 +7,7 @@
 #ifndef VIZQUERY_TDE_EXEC_OPERATORS_H_
 #define VIZQUERY_TDE_EXEC_OPERATORS_H_
 
-#include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,39 +15,18 @@
 
 #include "src/common/exec_context.h"
 #include "src/common/result_table.h"
+#include "src/common/scheduler.h"
 #include "src/common/status.h"
 #include "src/tde/exec/batch.h"
 #include "src/tde/exec/expression.h"
 
 namespace vizq::tde {
 
-// Execution statistics collected while a plan runs. Fraction timings are
-// appended by the parallel workers (Exchange producers, join-build tasks,
-// final-merge tasks); on a single-core host they let benches compute the
-// modeled parallel makespan that a multi-core host would realize (see
-// EXPERIMENTS.md).
-//
-// A plan may contain several *parallel sections* that run back-to-back
-// (scan fractions, then the join-build fan-out, then the final-merge
-// fan-out). Each section allocates an id with NewSection() and tags its
-// fractions with it, so the modeled critical path is the sum over sections
-// of the slowest fraction in that section — not one global max, which
-// would undercount sequential sections.
+// Execution statistics collected while a plan runs. Parallel workers
+// (scans, join-build tasks, final-merge tasks) update the counters under
+// `mu`.
 struct ExecStats {
-  // What kind of parallel section a fraction belongs to (reporting only).
-  static constexpr int kStageScan = 0;   // Exchange producers (scan/probe)
-  static constexpr int kStageBuild = 1;  // hash-join build tasks (§4.2.2)
-  static constexpr int kStageMerge = 2;  // kFinal aggregate merge tasks
-
-  struct FractionStat {
-    double seconds = 0;
-    int64_t rows = 0;
-    int section = 0;  // NewSection() id; same id = ran concurrently
-    int stage = kStageScan;
-  };
-
   std::mutex mu;
-  std::vector<FractionStat> fractions;
   int64_t rows_scanned = 0;
   int64_t batches = 0;
   int64_t morsels_claimed = 0;     // row ranges claimed from MorselQueues
@@ -69,30 +48,6 @@ struct ExecStats {
   int64_t encoded_rows_undecoded = 0;
   int64_t encoded_fallbacks = 0;
   int64_t encoded_plans = 0;
-
-  // Allocates the id of the next parallel section (thread-safe).
-  int NewSection() {
-    return next_section_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  void AddFraction(double seconds, int64_t rows, int section = 0,
-                   int stage = kStageScan) {
-    std::lock_guard<std::mutex> lock(mu);
-    fractions.push_back(FractionStat{seconds, rows, section, stage});
-  }
-
-  // Slowest single fraction across all sections.
-  double MaxFractionSeconds() const;
-  // Total work across fractions.
-  double SumFractionSeconds() const;
-  // Modeled critical path of the parallel work: sum over sections of the
-  // slowest fraction in that section (sections run back-to-back).
-  double CriticalPathSeconds() const;
-  // Critical-path contribution of sections with the given stage tag.
-  double StageCriticalPathSeconds(int stage) const;
-
- private:
-  std::atomic<int> next_section_{0};
 };
 
 // Base class of all physical operators.
@@ -180,6 +135,13 @@ class ProjectOperator : public Operator {
   std::vector<NamedExpr> exprs_;
   BatchSchema schema_;
 };
+
+// Runs fn(0..n-1) for a blocking operator's fan-out (the hash-join build,
+// the kFinal merge): inline when n <= 1, otherwise as tasks named
+// `task_name` of one TaskGroup under the query's `priority`. Wait() on a
+// worker thread steals queued tasks instead of parking (scheduler.h).
+void RunTasks(int n, TaskClass priority, const ExecContext& ctx,
+              const char* task_name, const std::function<void(int)>& fn);
 
 // Runs `op` to completion and materializes everything into a ResultTable.
 StatusOr<ResultTable> CollectToResultTable(Operator* op);

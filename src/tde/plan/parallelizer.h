@@ -46,9 +46,7 @@ struct ParallelOptions {
   // Morsel-driven scans (DESIGN.md §10): randomly-partitioned scans claim
   // dynamic row-range morsels from a queue shared by the Exchange inputs
   // instead of fixed fractions, so skew self-balances. Range-partitioned
-  // scans keep static group-aligned fractions (alignment is the point),
-  // and the engine disables morsels under serial_exchange_for_measurement
-  // (one-at-a-time inputs would claim everything into fraction 0).
+  // scans keep static group-aligned fractions (alignment is the point).
   bool enable_morsel = true;
   int64_t morsel_rows = 8192;  // rows per claimed morsel
   // Blocking-operator parallelism (DESIGN.md §12): the partitioned

@@ -146,9 +146,7 @@ StatusOr<OperatorPtr> Translator::TranslateExchange(const LogicalOp& op) {
     stats_->dop = std::max(stats_->dop, dop);
   }
   auto exchange = std::make_unique<ExchangeOperator>(
-      std::move(inputs), stats_, options_.serial_exchange, ctx_,
-      /*scheduler=*/nullptr, options_.priority,
-      in_build_side_ ? ExecStats::kStageBuild : ExecStats::kStageScan);
+      std::move(inputs), ctx_, /*scheduler=*/nullptr, options_.priority);
   for (const auto& [node, queue] : morsel_queues_) {
     if (queues_before.count(node) == 0) exchange->AddMorselQueue(queue);
   }
@@ -206,22 +204,17 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
         build = it->second;
       } else {
         // The build side is its own unit (fraction -1): built once, shared
-        // by every probing fraction. Its own Exchange (if any) records
-        // build-stage fractions.
-        bool saved_build_side = in_build_side_;
-        in_build_side_ = true;
-        StatusOr<OperatorPtr> right = TranslateNode(*op.children[1], -1);
-        in_build_side_ = saved_build_side;
-        VIZQ_RETURN_IF_ERROR(right.status());
+        // by every probing fraction.
+        VIZQ_ASSIGN_OR_RETURN(OperatorPtr right,
+                              TranslateNode(*op.children[1], -1));
         std::vector<ExprPtr> right_keys;
         for (const auto& [lk, rk] : op.join_keys) right_keys.push_back(rk);
         JoinBuildOptions build_options;
         build_options.build_dop = op.build_dop;
         build_options.min_parallel_rows = options_.parallel_build_min_rows;
         build_options.priority = options_.priority;
-        build_options.serial_measurement = options_.serial_exchange;
         build_options.stats = stats_;
-        build = std::make_shared<SharedBuildState>(std::move(*right),
+        build = std::make_shared<SharedBuildState>(std::move(right),
                                                    std::move(right_keys),
                                                    build_options);
         builds_.emplace(&op, build);
@@ -261,7 +254,6 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
         merge_options.merge_dop = op.merge_dop;
         merge_options.min_parallel_rows = options_.parallel_merge_min_rows;
         merge_options.priority = options_.priority;
-        merge_options.serial_measurement = options_.serial_exchange;
         agg->EnableParallelMerge(merge_options, stats_);
       }
       if (op.use_encoded_agg && phase != AggPhase::kFinal) {

@@ -24,9 +24,6 @@ namespace vizq::tde {
 
 // Runtime knobs the translator threads into the physical operators.
 struct TranslateOptions {
-  // Puts every Exchange — and the join-build / final-merge fan-outs —
-  // into serial-measurement mode (see ExchangeOperator).
-  bool serial_exchange = false;
   // The query's priority class; producer tasks, build tasks and merge
   // tasks are all submitted under it.
   TaskClass priority = TaskClass::kInteractive;
@@ -50,21 +47,9 @@ class Translator {
              PlanAnalysis* analysis = nullptr)
       : stats_(stats), options_(options), ctx_(ctx), analysis_(analysis) {}
 
-  // Legacy convenience: only the serial-measurement switch.
-  explicit Translator(ExecStats* stats, bool serial_exchange = false,
-                      const ExecContext& ctx = ExecContext::Background(),
-                      PlanAnalysis* analysis = nullptr)
-      : Translator(stats, MakeSerialOptions(serial_exchange), ctx, analysis) {}
-
   StatusOr<OperatorPtr> Translate(const LogicalOpPtr& plan);
 
  private:
-  static TranslateOptions MakeSerialOptions(bool serial_exchange) {
-    TranslateOptions o;
-    o.serial_exchange = serial_exchange;
-    return o;
-  }
-
   // Resolves the analysis node for `op`, translates (TranslateNodeImpl)
   // and wraps the result. All fractions of an Exchange share one node.
   StatusOr<OperatorPtr> TranslateNode(const LogicalOp& op, int fraction);
@@ -83,9 +68,6 @@ class Translator {
   ExecContext ctx_;
   PlanAnalysis* analysis_ = nullptr;
   PlanNodeStats* analyze_parent_ = nullptr;  // current parent during recursion
-  // True while translating a join's build-side subtree: a build-side
-  // Exchange tags its fractions with the build stage, not the scan stage.
-  bool in_build_side_ = false;
   std::unordered_map<const LogicalOp*, std::shared_ptr<SharedBuildState>>
       builds_;
   std::unordered_map<const LogicalOp*, std::vector<int64_t>> scan_offsets_;

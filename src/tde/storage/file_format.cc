@@ -9,6 +9,11 @@ namespace {
 
 constexpr uint32_t kMagic = 0x56514445;  // 'VQDE'
 constexpr uint32_t kVersion = 1;
+// Largest valid enum tags in a column header.
+constexpr uint8_t kMaxTypeKind = static_cast<uint8_t>(TypeKind::kDate);
+constexpr uint8_t kMaxCollation =
+    static_cast<uint8_t>(Collation::kCaseInsensitive);
+constexpr uint8_t kMaxEncoding = static_cast<uint8_t>(Encoding::kDelta);
 
 void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
 void PutU32(std::string* out, uint32_t v) {
@@ -191,6 +196,10 @@ class ColumnSerializer {
     if (!r->GetU8(&kind) || !r->GetU8(&collation) || !r->GetU8(&encoding)) {
       return DataLoss("column header truncated");
     }
+    if (kind > kMaxTypeKind || collation > kMaxCollation ||
+        encoding > kMaxEncoding) {
+      return DataLoss("column header: bad type or encoding tag");
+    }
     col->type_.kind = static_cast<TypeKind>(kind);
     col->type_.collation = static_cast<Collation>(collation);
     col->encoding_ = static_cast<Encoding>(encoding);
@@ -264,6 +273,9 @@ class ColumnSerializer {
       uint64_t entries;
       if (!r->GetU8(&dict_collation) || !r->GetU64(&entries)) {
         return DataLoss("dictionary header truncated");
+      }
+      if (dict_collation > kMaxCollation) {
+        return DataLoss("dictionary header: bad collation tag");
       }
       auto dict = std::make_shared<StringDictionary>(
           static_cast<Collation>(dict_collation));

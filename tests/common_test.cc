@@ -128,6 +128,12 @@ TEST(ResultTableTest, SerializeDeserializeExact) {
   std::string truncated = t.Serialize();
   truncated.resize(truncated.size() - 3);
   EXPECT_FALSE(ResultTable::Deserialize(truncated).ok());
+  // Magic, column count, then column "s": its 4-byte name length and one
+  // name byte precede the TypeKind tag. An out-of-range tag is corrupt.
+  std::string bad_kind = t.Serialize();
+  bad_kind[4 + 4 + 4 + 1] = static_cast<char>(0xEE);
+  EXPECT_EQ(ResultTable::Deserialize(bad_kind).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(ResultTableTest, SameUnorderedIgnoresRowOrder) {

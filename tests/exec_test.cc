@@ -171,8 +171,7 @@ TEST(ExchangeTest, MergesAllInputsThreaded) {
     inputs.push_back(std::make_unique<TableScanOperator>(
         table, std::vector<int>{2}, offsets[f], offsets[f + 1]));
   }
-  ExecStats stats;
-  ExchangeOperator exchange(std::move(inputs), &stats);
+  ExchangeOperator exchange(std::move(inputs));
   int64_t rows = 0;
   ASSERT_TRUE(exchange.Open().ok());
   Batch batch;
@@ -184,25 +183,6 @@ TEST(ExchangeTest, MergesAllInputsThreaded) {
   }
   ASSERT_TRUE(exchange.Close().ok());
   EXPECT_EQ(rows, 4000);
-  EXPECT_EQ(stats.fractions.size(), 4u);
-}
-
-TEST(ExchangeTest, SerialMeasurementModeMatches) {
-  auto table = vizq::testing::MakeSalesTable(4000);
-  for (bool serial : {false, true}) {
-    std::vector<int64_t> offsets = SplitRows(table->num_rows(), 3);
-    std::vector<OperatorPtr> inputs;
-    for (int f = 0; f < 3; ++f) {
-      inputs.push_back(std::make_unique<TableScanOperator>(
-          table, std::vector<int>{2}, offsets[f], offsets[f + 1]));
-    }
-    ExecStats stats;
-    ExchangeOperator exchange(std::move(inputs), &stats, serial);
-    auto result = CollectToResultTable(&exchange);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->num_rows(), 4000);
-    EXPECT_EQ(stats.fractions.size(), 3u);
-  }
 }
 
 // Emits `total` one-row batches, so producers outpace any slow consumer
@@ -242,8 +222,7 @@ TEST(ExchangeTest, CancelMidStreamWithSlowConsumer) {
   for (int f = 0; f < 3; ++f) {
     inputs.push_back(std::make_unique<ManyBatchesOp>(100000));
   }
-  ExecStats stats;
-  ExchangeOperator exchange(std::move(inputs), &stats, /*serial=*/false, ctx);
+  ExchangeOperator exchange(std::move(inputs), ctx);
   ASSERT_TRUE(exchange.Open().ok());
 
   // Read a couple of batches so producers are running, then let them fill
@@ -294,9 +273,8 @@ TEST(ExchangeTest, ShedProducersRunUnboundedOnConsumerThread) {
     // Well past max_queue_ (8) one-row batches per input.
     inputs.push_back(std::make_unique<ManyBatchesOp>(64));
   }
-  ExecStats stats;
-  ExchangeOperator exchange(std::move(inputs), &stats, /*serial=*/false,
-                            ExecContext::Background(), &sched);
+  ExchangeOperator exchange(std::move(inputs), ExecContext::Background(),
+                            &sched);
   ASSERT_TRUE(exchange.Open().ok());
   int64_t rows = 0;
   Batch batch;
@@ -323,8 +301,7 @@ TEST(ExchangeTest, MorselModeReopenRescans) {
     scan->SetMorselQueue(queue);
     inputs.push_back(std::move(scan));
   }
-  ExecStats stats;
-  ExchangeOperator exchange(std::move(inputs), &stats);
+  ExchangeOperator exchange(std::move(inputs));
   exchange.AddMorselQueue(queue);
   for (int run = 0; run < 2; ++run) {
     ASSERT_TRUE(exchange.Open().ok());

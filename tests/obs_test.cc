@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -309,25 +310,18 @@ struct FaaFixture {
   }
 };
 
-// Strips every "ts"/"dur" value so two exports of the same workload can
-// be compared structurally (names, phases, nesting, pids/tids).
-std::string NormalizeTrace(const std::string& trace_json) {
-  auto parsed = ParseJson(trace_json);
-  EXPECT_TRUE(parsed.ok()) << parsed.status();
-  if (!parsed.ok()) return "";
-  std::string out;
-  const JsonValue* events = parsed->Find("traceEvents");
-  if (events == nullptr) return "";
-  for (const JsonValue& e : events->array()) {
-    const JsonValue* name = e.Find("name");
-    const JsonValue* ph = e.Find("ph");
-    const JsonValue* tid = e.Find("tid");
-    out += (name != nullptr ? name->string() : "?");
-    out += "|" + (ph != nullptr ? ph->string() : "?");
-    out += "|" + std::to_string(
-                     tid != nullptr ? static_cast<int64_t>(tid->number()) : -1);
-    out += "\n";
+// Renders `span`'s subtree as indented span names, timing dropped and each
+// node's children sorted by their own rendering: concurrent siblings (two
+// sched:batch-group spans, say) are recorded in whichever order they ran,
+// so two runs of one workload compare equal on names and nesting alone.
+std::string NormalizeSpanTree(const RecordedSpan& span, int depth = 0) {
+  std::vector<std::string> children;
+  for (const RecordedSpan& child : span.children) {
+    children.push_back(NormalizeSpanTree(child, depth + 1));
   }
+  std::sort(children.begin(), children.end());
+  std::string out = std::string(2 * depth, ' ') + span.name + "\n";
+  for (const std::string& child : children) out += child;
   return out;
 }
 
@@ -350,8 +344,7 @@ TEST(ObservabilityEndToEndTest, FaaBatchTraceIsValidAndStableModuloTime) {
     Status valid = ValidateChromeTrace(trace, &n);
     ASSERT_TRUE(valid.ok()) << valid;
     EXPECT_GT(n, 0);
-    normalized[run] = NormalizeTrace(trace);
-    ASSERT_FALSE(normalized[run].empty());
+    normalized[run] = NormalizeSpanTree(r.root);
   }
   EXPECT_EQ(normalized[0], normalized[1])
       << "trace structure should be deterministic for a fixed seed";

@@ -55,36 +55,6 @@ class OneBatchOp : public Operator {
   bool done_ = false;
 };
 
-// --- ExecStats: the sectioned critical path the modeled makespan uses ---
-
-TEST(ExecStatsTest, CriticalPathSumsPerSectionMaxima) {
-  ExecStats stats;
-  int scan_section = stats.NewSection();
-  int build_section = stats.NewSection();
-  stats.AddFraction(0.10, 100, scan_section, ExecStats::kStageScan);
-  stats.AddFraction(0.40, 100, scan_section, ExecStats::kStageScan);
-  stats.AddFraction(0.20, 100, build_section, ExecStats::kStageBuild);
-  stats.AddFraction(0.30, 100, build_section, ExecStats::kStageBuild);
-  // Sections run back-to-back: 0.40 (slowest scan) + 0.30 (slowest build).
-  EXPECT_NEAR(stats.CriticalPathSeconds(), 0.70, 1e-12);
-  EXPECT_NEAR(stats.StageCriticalPathSeconds(ExecStats::kStageBuild), 0.30,
-              1e-12);
-  EXPECT_NEAR(stats.StageCriticalPathSeconds(ExecStats::kStageMerge), 0.0,
-              1e-12);
-  // The legacy single-section accessors are unchanged.
-  EXPECT_NEAR(stats.MaxFractionSeconds(), 0.40, 1e-12);
-  EXPECT_NEAR(stats.SumFractionSeconds(), 1.00, 1e-12);
-}
-
-TEST(ExecStatsTest, UntaggedFractionsShareOneSection) {
-  // Fractions recorded without a section (legacy callers) model one
-  // concurrent fan-out: critical path == global max.
-  ExecStats stats;
-  stats.AddFraction(0.10, 100);
-  stats.AddFraction(0.25, 100);
-  EXPECT_NEAR(stats.CriticalPathSeconds(), 0.25, 1e-12);
-}
-
 // --- cancellation: mid-build and while waiting on another builder ---
 
 // Emits `total_batches` batches; cancels `ctx` (shared cancel token) after
@@ -373,7 +343,6 @@ TEST(ParallelJoinTest, PartitionedBuildMatchesSerialProbeResults) {
   EXPECT_TRUE(TablesEquivalent(*rs, *rp));
   EXPECT_TRUE(stats.used_parallel_build);
   EXPECT_GE(stats.join_build_morsels, 1);
-  EXPECT_GT(stats.StageCriticalPathSeconds(ExecStats::kStageBuild), 0.0);
 }
 
 TEST(ParallelJoinTest, ConcurrentOpensBuildExactlyOnce) {

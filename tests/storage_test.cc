@@ -277,6 +277,14 @@ TEST(FileFormatTest, CorruptImagesFailCleanly) {
       DatabaseSerializer::Unpack(bytes.substr(0, bytes.size() / 2)).ok());
   std::string trailing = bytes + "x";
   EXPECT_FALSE(DatabaseSerializer::Unpack(trailing).ok());
+  // Column "a"'s header follows its length-prefixed name: kind, collation
+  // and encoding tags. An out-of-range encoding tag is corrupt.
+  size_t name_at = bytes.find(std::string("\x01\0\0\0a", 5));
+  ASSERT_NE(name_at, std::string::npos);
+  std::string bad_encoding = bytes;
+  bad_encoding[name_at + 5 + 2] = static_cast<char>(0x77);
+  EXPECT_EQ(DatabaseSerializer::Unpack(bad_encoding).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(CollationTest, CompareEqualsHashAgree) {

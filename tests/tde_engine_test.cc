@@ -268,25 +268,6 @@ TEST(TdeParallelPlanTest, MorselScanMatchesSerialAndClaimsMorsels) {
   }
 }
 
-TEST(TdeParallelPlanTest, SerialMeasurementModeDisablesMorsels) {
-  // Serial-measurement mode runs exchange inputs one at a time for
-  // contention-free per-fraction timing; dynamic morsels would let input 0
-  // claim the whole table, so the engine falls back to static ranges.
-  auto db = MakeTestDatabase(40000);
-  TdeEngine engine(db);
-  QueryOptions options;
-  options.parallel.max_dop = 4;
-  options.parallel.min_rows_per_fraction = 1024;
-  options.serial_exchange_for_measurement = true;
-  auto result = engine.Execute(
-      "(aggregate ((region region)) ((total sum units)) (scan sales))",
-      options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result->stats->used_morsel_scan) << result->plan_text;
-  EXPECT_EQ(result->stats->morsels_claimed, 0);
-  EXPECT_EQ(result->table.num_rows(), 4);
-}
-
 TEST(TdeStreamingAggTest, SortedInputUsesStreamingAggregate) {
   auto db = MakeTestDatabase(4096);
   TdeEngine engine(db);
