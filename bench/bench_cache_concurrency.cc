@@ -428,8 +428,8 @@ int EmitJson(const std::string& path) {
                  runs.back().p95_us);
   }
 
-  // Registry hot-path overhead: exact-hit loop with per-request metrics
-  // on, with vs without the global sink forwarding. Warm-up first so
+  // Registry hot-path overhead: exact-hit loop on a traced context, with
+  // vs without the global sink forwarding. Warm-up first so
   // instrument creation is not billed to either side.
   IntelligentCacheOptions options;
   options.num_shards = 16;

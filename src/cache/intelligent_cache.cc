@@ -628,7 +628,7 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
         if (is_stale) {
           stats_.stale_hits.fetch_add(1, std::memory_order_relaxed);
           ctx.Count("cache.intelligent.stale_hit");
-          if (ctx.metrics_enabled()) {
+          if (ctx.tracing_enabled()) {
             ctx.Observe("cache.intelligent.stale_age_ms", age);
           }
         } else {
@@ -637,7 +637,7 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
         }
         CacheHit hit{e.result, /*exact=*/true, age, is_stale};
         lock.Release();  // breadcrumb formatting happens outside the lock
-        if (ctx.log_enabled()) {
+        if (ctx.tracing_enabled()) {
           ctx.LogEvent("cache.intelligent",
                        std::string(is_stale ? "stale-" : "") +
                            "exact-hit view=" + q.view + " rows=" +
@@ -706,7 +706,7 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
   // the immutable snapshot, so concurrent lookups in this shard proceed.
   auto apply_start = std::chrono::steady_clock::now();
   auto result = ApplyMatchPlan(*best_table, best_plan, q);
-  if (ctx.metrics_enabled()) {
+  if (ctx.tracing_enabled()) {
     ctx.Observe("cache.intelligent.derived_apply_us",
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - apply_start)
@@ -729,14 +729,14 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
   if (best_stale) {
     stats_.stale_hits.fetch_add(1, std::memory_order_relaxed);
     ctx.Count("cache.intelligent.stale_hit");
-    if (ctx.metrics_enabled()) {
+    if (ctx.tracing_enabled()) {
       ctx.Observe("cache.intelligent.stale_age_ms", best_age);
     }
   } else {
     stats_.derived_hits.fetch_add(1, std::memory_order_relaxed);
     ctx.Count("cache.intelligent.derived_hit");
   }
-  if (ctx.log_enabled()) {
+  if (ctx.tracing_enabled()) {
     // Match-plan summary: which post-processing steps ran.
     std::string summary = std::string(best_stale ? "stale-" : "") +
                           "derived-hit view=" + q.view;
@@ -762,11 +762,11 @@ void IntelligentCache::CountMiss(MissReason reason, const AbstractQuery& q,
   stats_.miss_reasons[static_cast<int>(reason)].fetch_add(
       1, std::memory_order_relaxed);
   ctx.Count("cache.intelligent.miss");
-  if (ctx.metrics_enabled()) {
+  if (ctx.tracing_enabled()) {
     ctx.Count(std::string("cache.intelligent.miss.") +
               MissReasonToString(reason));
   }
-  if (ctx.log_enabled()) {
+  if (ctx.tracing_enabled()) {
     ctx.LogEvent("cache.intelligent",
                  std::string("miss view=") + q.view + " reason=" +
                      MissReasonToString(reason));
@@ -809,7 +809,7 @@ void IntelligentCache::Put(const AbstractQuery& q, ResultTable result,
     shard.by_key[entry->key] = entry;
     shard.bytes += bytes;
     shard.heap.Push(entry, options_.eviction);
-    if (ctx.metrics_enabled()) {
+    if (ctx.tracing_enabled()) {
       ctx.Observe("cache.intelligent.shard_occupancy",
                   static_cast<double>(shard.by_key.size()));
     }

@@ -40,14 +40,14 @@ std::shared_ptr<const ResultTable> LiteralCache::LookupShared(
   if (found != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     ctx.Count("cache.literal.hit");
-    if (ctx.log_enabled()) {
+    if (ctx.tracing_enabled()) {
       ctx.LogEvent("cache.literal", "hit text=" + TextPreview(query_text));
     }
     return found;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   ctx.Count("cache.literal.miss");
-  if (ctx.log_enabled()) {
+  if (ctx.tracing_enabled()) {
     ctx.LogEvent("cache.literal", "miss text=" + TextPreview(query_text));
   }
   return nullptr;
@@ -85,7 +85,7 @@ void LiteralCache::Put(const std::string& query_text, ResultTable result,
     shard.entries.emplace(query_text, entry);
     shard.bytes += bytes;
     shard.heap.Push(entry, options_.eviction);
-    if (ctx.metrics_enabled()) {
+    if (ctx.tracing_enabled()) {
       ctx.Observe("cache.literal.shard_occupancy",
                   static_cast<double>(shard.entries.size()));
     }

@@ -43,7 +43,7 @@ inline size_t ShardIndexFor(const std::string& key, int num_shards) {
 
 // std::lock_guard that optionally times the acquisition and reports it as
 // a microsecond histogram on the context (e.g. cache.intelligent.
-// lock_wait_us). The clock is only read when the context has metrics, so
+// lock_wait_us). The clock is only read when the context is traced, so
 // benchmark hot paths running under ExecContext::Background() pay nothing.
 // Only waits of at least 1 µs are reported: the metric is a contention
 // signal, and recording every uncontended ~20 ns acquire would both
@@ -53,7 +53,7 @@ class TimedLockGuard {
   TimedLockGuard(std::mutex& mu, const ExecContext& ctx,
                  const char* wait_metric)
       : mu_(mu) {
-    if (ctx.metrics_enabled()) {
+    if (ctx.tracing_enabled()) {
       auto start = std::chrono::steady_clock::now();
       mu_.lock();
       double us = std::chrono::duration<double, std::micro>(

@@ -9,10 +9,9 @@
 // compute: batches queue (deadline-aware) for a slot, which is what
 // makes aggregate goodput scale as nodes are added.
 //
-// Node-local state is namespaced by node id: temp-table definitions
-// (TempTableRegistry scope via DataServerOptions) and compiled temp
-// names (CompilerOptions::temp_namespace) — two nodes sharing a backend
-// can never observe each other's temps.
+// Node-local state is namespaced by node id: each hosted source compiles
+// its temp tables under CompilerOptions::temp_namespace = the node id, so
+// two nodes sharing a backend can never observe each other's temps.
 //
 // A request for a view the node does not host answers
 // kFailedPrecondition ("stale placement"): the retrying channel

@@ -31,35 +31,6 @@ GlobalMetricsSink* GetGlobalMetricsSink() {
   return g_metrics_sink.load(std::memory_order_acquire);
 }
 
-// --- RequestLog ---
-
-void RequestLog::AddEvent(std::string category, std::string detail) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(Event{std::chrono::steady_clock::now(),
-                          std::move(category), std::move(detail)});
-}
-
-void RequestLog::Attach(const std::string& name, std::string text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  attachments_[name] = std::move(text);
-}
-
-std::vector<RequestLog::Event> RequestLog::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-std::map<std::string, std::string> RequestLog::attachments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attachments_;
-}
-
-std::string RequestLog::attachment(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = attachments_.find(name);
-  return it == attachments_.end() ? std::string() : it->second;
-}
-
 // --- Span ---
 
 Span::Span(Trace* trace, std::string name)
@@ -98,6 +69,28 @@ std::vector<const Span*> Span::children() const {
   out.reserve(children_.size());
   for (const auto& c : children_) out.push_back(c.get());
   return out;
+}
+
+void Span::AddEvent(std::string category, std::string detail) {
+  Event ev{std::chrono::steady_clock::now(), std::move(category),
+           std::move(detail)};
+  std::lock_guard<std::mutex> lock(trace_->mu_);
+  events_.push_back(std::move(ev));
+}
+
+void Span::SetAttribute(const std::string& name, std::string value) {
+  std::lock_guard<std::mutex> lock(trace_->mu_);
+  attributes_[name] = std::move(value);
+}
+
+std::vector<Span::Event> Span::events() const {
+  std::lock_guard<std::mutex> lock(trace_->mu_);
+  return events_;
+}
+
+std::map<std::string, std::string> Span::attributes() const {
+  std::lock_guard<std::mutex> lock(trace_->mu_);
+  return attributes_;
 }
 
 // --- Trace ---
@@ -171,60 +164,10 @@ std::vector<std::string> Trace::SpanNames() const {
   return out;
 }
 
-// --- MetricsRegistry ---
-
-void MetricsRegistry::Add(const std::string& name, int64_t delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += delta;
-}
-
-void MetricsRegistry::Observe(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  HistogramStats& h = histograms_[name];
-  if (h.count == 0 || value < h.min) h.min = value;
-  if (h.count == 0 || value > h.max) h.max = value;
-  h.sum += value;
-  ++h.count;
-}
-
-int64_t MetricsRegistry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-MetricsRegistry::HistogramStats MetricsRegistry::histogram(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? HistogramStats{} : it->second;
-}
-
-std::map<std::string, int64_t> MetricsRegistry::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
-}
-
-std::string MetricsRegistry::ToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out += name + " = " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    out += name + " = {count " + std::to_string(h.count) + ", mean " +
-           FormatMs(h.mean()) + ", min " + FormatMs(h.min) + ", max " +
-           FormatMs(h.max) + "}\n";
-  }
-  return out;
-}
-
 // --- ExecContext ---
 
 ExecContext::ExecContext()
     : trace_(std::make_shared<Trace>()),
-      metrics_(std::make_shared<MetricsRegistry>()),
-      log_(std::make_shared<RequestLog>()),
       timeline_(PhaseTimeline::Enabled() ? std::make_shared<PhaseTimeline>()
                                          : nullptr) {}
 
@@ -279,10 +222,13 @@ Status ExecContext::CheckContinue(const char* what) const {
   return OkStatus();
 }
 
+Span* ExecContext::current_span() const {
+  return parent_ != nullptr ? parent_ : trace_->root();
+}
+
 Span* ExecContext::StartSpan(const std::string& name) const {
   if (trace_ == nullptr) return nullptr;
-  Span* parent = parent_ != nullptr ? parent_ : trace_->root();
-  return parent->StartChild(name);
+  return current_span()->StartChild(name);
 }
 
 ExecContext ExecContext::WithSpan(Span* span) const {
@@ -291,28 +237,28 @@ ExecContext ExecContext::WithSpan(Span* span) const {
   return copy;
 }
 
+void ExecContext::LogEvent(std::string category, std::string detail) const {
+  if (trace_ != nullptr) {
+    current_span()->AddEvent(std::move(category), std::move(detail));
+  }
+}
+
+void ExecContext::Attach(const std::string& name, std::string text) const {
+  if (trace_ != nullptr) current_span()->SetAttribute(name, std::move(text));
+}
+
 void ExecContext::Count(const std::string& name, int64_t delta) const {
-  if (metrics_ == nullptr) return;
-  metrics_->Add(name, delta);
+  if (trace_ == nullptr) return;
   if (GlobalMetricsSink* sink = GetGlobalMetricsSink(); sink != nullptr) {
     sink->Add(name, delta);
   }
 }
 
 void ExecContext::Observe(const std::string& name, double value) const {
-  if (metrics_ == nullptr) return;
-  metrics_->Observe(name, value);
+  if (trace_ == nullptr) return;
   if (GlobalMetricsSink* sink = GetGlobalMetricsSink(); sink != nullptr) {
     sink->Observe(name, value);
   }
-}
-
-void ExecContext::LogEvent(std::string category, std::string detail) const {
-  if (log_ != nullptr) log_->AddEvent(std::move(category), std::move(detail));
-}
-
-void ExecContext::Attach(const std::string& name, std::string text) const {
-  if (log_ != nullptr) log_->Attach(name, std::move(text));
 }
 
 }  // namespace vizq

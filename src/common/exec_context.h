@@ -7,32 +7,31 @@
 //   * a cooperative **CancelToken** — callers abandon work (user navigated
 //     away, dashboard superseded) and every layer stops at the next
 //     checkpoint;
-//   * a hierarchical **trace** — one Span per pipeline stage / operator,
-//     rendered as a text tree or JSON for latency accounting;
-//   * a **MetricsRegistry** — named counters and histograms (cache hits,
-//     rows scanned, pool waits) aggregated per request;
-//   * a **RequestLog** — timestamped breadcrumbs (cache decisions, pool
-//     events) and named text attachments (the annotated EXPLAIN ANALYZE
-//     plan) that the process-wide PerfRecorder (src/obs/) captures when
-//     the request completes;
+//   * a hierarchical **trace** — the request's one telemetry record: one
+//     Span per pipeline stage / operator, each carrying the timestamped
+//     breadcrumbs (cache decisions, pool events) and string attributes
+//     (the annotated EXPLAIN ANALYZE plan) logged while it was the
+//     context's current span. The tail-exemplar store (src/obs/) copies
+//     a finished request's subtree out of it;
 //   * a **PhaseTimeline** — named-phase wall-time attribution (admission,
 //     cache lookup, scheduler queue wait, execution, materialization)
 //     whose root phases decompose the request's end-to-end latency (see
 //     phase_timeline.h).
 //
-// Every Count/Observe is additionally forwarded to the process-global
-// metrics sink (installed by obs::GlobalMetrics()), so the per-request
-// and global views share one naming scheme. ExecContext::Background()
-// keeps its "observability off" contract: it forwards nothing.
+// Count/Observe go to the process-global metrics sink (installed by
+// obs::GlobalMetrics()); there is no per-request registry.
+// ExecContext::Background() keeps its "observability off" contract: no
+// trace, no timeline, and it forwards nothing.
 //
 // Ownership / threading rules (see DESIGN.md "ExecContext"):
 //   * The request originator creates the context and keeps it alive for
 //     the whole request; copies are cheap handles sharing the same trace,
-//     metrics and cancel state.
+//     timeline and cancel state.
 //   * Anyone holding a copy may Cancel(); cancellation is sticky.
-//   * A Span is single-writer: only the thread that started it may End()
-//     it. Starting *children* of a span from multiple threads is safe
-//     (the trace serializes tree mutation).
+//   * A Span is single-writer for its clock: only the thread that started
+//     it may End() it. Starting *children* of a span, and adding events
+//     and attributes to it, is safe from any thread (the trace's mutex
+//     serializes them).
 //   * `ExecContext::Background()` is the explicit "no deadline, no trace"
 //     context; zero-context overloads across the stack delegate to it so
 //     call sites can migrate incrementally.
@@ -70,9 +69,18 @@ class Trace;
 
 // One timed node in the trace tree. Created via ExecContext::StartSpan /
 // Span::StartChild; closed with End() (idempotent). Single-writer: the
-// starting thread ends it; concurrent child creation is safe.
+// starting thread ends it; concurrent child creation, events and
+// attributes are safe.
 class Span {
  public:
+  // A timestamped breadcrumb: a *decision* (why a cache lookup missed,
+  // where a pool acquire was steered) made while this span was current.
+  struct Event {
+    std::chrono::steady_clock::time_point at;
+    std::string category;  // e.g. "cache.intelligent", "pool"
+    std::string detail;
+  };
+
   const std::string& name() const { return name_; }
 
   // Milliseconds from start to End(); if still open, elapsed-so-far.
@@ -80,7 +88,7 @@ class Span {
   bool finished() const { return duration_ns_.load() >= 0; }
 
   // When the span started (steady clock) — the timestamp source for
-  // Chrome trace-event export (obs::PerfRecorder).
+  // Chrome trace-event export (obs::RequestsToChromeTrace).
   std::chrono::steady_clock::time_point start_time() const { return start_; }
 
   // Stops the clock. Safe to call more than once; later calls are no-ops.
@@ -92,6 +100,15 @@ class Span {
   // Snapshot of the current children, in creation order.
   std::vector<const Span*> children() const;
 
+  // Appends a breadcrumb stamped now (thread-safe).
+  void AddEvent(std::string category, std::string detail);
+  // Stores `value` under `name`; a later set of the same name wins
+  // (thread-safe).
+  void SetAttribute(const std::string& name, std::string value);
+  // Snapshots, in logging order / by name.
+  std::vector<Event> events() const;
+  std::map<std::string, std::string> attributes() const;
+
  private:
   friend class Trace;
   Span(Trace* trace, std::string name);
@@ -100,7 +117,10 @@ class Span {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::atomic<int64_t> duration_ns_{-1};  // -1 while open
+  // Guarded by trace_->mu_.
   std::vector<std::unique_ptr<Span>> children_;
+  std::vector<Event> events_;
+  std::map<std::string, std::string> attributes_;
 };
 
 // Owns a span tree. Rendering is meant for after the request completes,
@@ -127,11 +147,10 @@ class Trace {
 };
 
 // Process-global metrics destination. ExecContext::Count/Observe forward
-// every per-request update here as well (when a sink is installed and the
-// context has metrics enabled), giving the process a single registry with
-// the same metric names the per-request view uses. The canonical
-// implementation is obs::MetricsRegistry; the indirection keeps common/
-// free of a dependency on obs/.
+// every update here (when a sink is installed and the context is traced),
+// giving the process a single registry. The canonical implementation is
+// obs::MetricsRegistry; the indirection keeps common/ free of a
+// dependency on obs/.
 class GlobalMetricsSink {
  public:
   virtual ~GlobalMetricsSink() = default;
@@ -150,78 +169,24 @@ class GlobalMetricsSink {
 void SetGlobalMetricsSink(GlobalMetricsSink* sink);
 GlobalMetricsSink* GetGlobalMetricsSink();
 
-// Timestamped breadcrumbs + named text attachments for one request.
-// Breadcrumbs record *decisions* (why a cache lookup missed, where a pool
-// acquire was steered); attachments carry larger artifacts (the annotated
-// EXPLAIN ANALYZE plan). Shared by all copies of an ExecContext, like the
-// trace; thread-safe.
-class RequestLog {
- public:
-  struct Event {
-    std::chrono::steady_clock::time_point at;
-    std::string category;  // e.g. "cache.intelligent", "pool"
-    std::string detail;
-  };
-
-  void AddEvent(std::string category, std::string detail);
-  // Stores `text` under `name`; a later Attach to the same name wins.
-  void Attach(const std::string& name, std::string text);
-
-  std::vector<Event> events() const;
-  std::map<std::string, std::string> attachments() const;
-  // Empty string when the attachment is absent.
-  std::string attachment(const std::string& name) const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Event> events_;
-  std::map<std::string, std::string> attachments_;
-};
-
-// Named counters + min/max/sum/count histograms. Thread-safe.
-class MetricsRegistry {
- public:
-  struct HistogramStats {
-    int64_t count = 0;
-    double sum = 0;
-    double min = 0;
-    double max = 0;
-    double mean() const { return count == 0 ? 0 : sum / count; }
-  };
-
-  void Add(const std::string& name, int64_t delta = 1);
-  void Observe(const std::string& name, double value);
-
-  // 0 / empty stats when the name was never touched.
-  int64_t counter(const std::string& name) const;
-  HistogramStats histogram(const std::string& name) const;
-
-  std::map<std::string, int64_t> counters() const;
-  std::string ToString() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, HistogramStats> histograms_;
-};
-
 // The context itself: a cheap value type. Copies share deadline, cancel
-// state, trace and metrics; `WithSpan` re-parents where new spans attach.
+// state, trace and timeline; `WithSpan` re-parents where new spans,
+// events and attributes attach.
 class ExecContext {
  public:
-  // No deadline; tracing and metrics enabled.
+  // No deadline; tracing enabled.
   ExecContext();
 
-  // Process-wide context with no deadline and tracing/metrics *disabled*
-  // (StartSpan returns null, Count/Observe are no-ops). The delegate for
-  // every zero-context overload in the stack.
+  // Process-wide context with no deadline and tracing *disabled*
+  // (StartSpan returns null; Count/Observe/LogEvent/Attach are no-ops).
+  // The delegate for every zero-context overload in the stack.
   static const ExecContext& Background();
 
   // Fresh context whose deadline is `ms` from now.
   static ExecContext WithDeadlineMs(double ms);
 
   // The context an RPC transport hands to the remote (node-side) handler:
-  // shares this context's cancel state, trace, metrics and log, but
+  // shares this context's cancel state, trace and current span, but
   //   * tightens the deadline to min(existing, now + budget_ms), so a
   //     per-call budget can never outlive the request's own deadline;
   //   * drops the phase timeline — node-side root phases (cache lookup,
@@ -259,16 +224,17 @@ class ExecContext {
   // ScopedSpan and End() tolerate null.
   Span* StartSpan(const std::string& name) const;
 
-  // Copy whose StartSpan attaches children under `span`. Null leaves the
-  // parent unchanged.
+  // Copy whose current span is `span`: StartSpan attaches children under
+  // it, and LogEvent/Attach write to it. Null leaves the parent unchanged.
   ExecContext WithSpan(Span* span) const;
 
+  // Breadcrumbs and attributes on the current span (the WithSpan parent,
+  // or else the root). No-ops when tracing is disabled (Background()).
+  void LogEvent(std::string category, std::string detail) const;
+  void Attach(const std::string& name, std::string text) const;
+
   // --- metrics ---
-  bool metrics_enabled() const { return metrics_ != nullptr; }
-  MetricsRegistry* metrics() { return metrics_.get(); }
-  const MetricsRegistry* metrics() const { return metrics_.get(); }
-  // Both forward to the process-global sink as well (same names); see the
-  // header comment. Background() forwards nothing.
+  // Forward to the process-global sink; Background() forwards nothing.
   void Count(const std::string& name, int64_t delta = 1) const;
   void Observe(const std::string& name, double value) const;
 
@@ -278,26 +244,19 @@ class ExecContext {
   // copies of a context share one timeline, like the trace.
   PhaseTimeline* timeline() const { return timeline_.get(); }
 
-  // --- request log (breadcrumbs + attachments) ---
-  bool log_enabled() const { return log_ != nullptr; }
-  RequestLog* log() { return log_.get(); }
-  const RequestLog* log() const { return log_.get(); }
-  // No-ops when the log is disabled (Background()).
-  void LogEvent(std::string category, std::string detail) const;
-  void Attach(const std::string& name, std::string text) const;
-
  private:
   struct DisabledTag {};
   explicit ExecContext(DisabledTag);
+
+  // The WithSpan parent, or else the root. Requires tracing.
+  Span* current_span() const;
 
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   CancelToken token_;
   std::shared_ptr<Trace> trace_;
-  std::shared_ptr<MetricsRegistry> metrics_;
-  std::shared_ptr<RequestLog> log_;
   std::shared_ptr<PhaseTimeline> timeline_;
-  Span* parent_ = nullptr;  // default parent for StartSpan; null = root
+  Span* parent_ = nullptr;  // current span; null = the trace's root
 };
 
 // RAII helper: ends the span on scope exit. Tolerates a null span, so

@@ -54,8 +54,8 @@ int64_t PhaseTimeline::attributed_ns() const {
 }
 
 std::string PhaseTimeline::ToString() const {
-  // snprintf into a stack buffer: this renders on serving threads (the
-  // flight-recorder attachment), so no ostringstream construction — a
+  // snprintf into a stack buffer: this renders on serving threads (each
+  // tail exemplar's timeline), so no ostringstream construction — a
   // locale-aware stream costs more than the whole timeline bookkeeping.
   char buf[512];
   size_t len = 0;

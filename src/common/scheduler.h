@@ -27,7 +27,8 @@
 //   * observability: per-class submitted/completed/shed counters and
 //     queue-depth gauges, task wait/run histograms (sched.* names in the
 //     global metrics registry) and a "sched:<name>" span on traced
-//     contexts, so the PerfRecorder shows scheduling alongside execution.
+//     contexts, so a request's span tree (and any tail exemplar captured
+//     from it) shows scheduling alongside execution.
 //
 // Workers are hosted on an internal ThreadPool — the pool's only
 // remaining production role. The pool is intentionally oversubscribed

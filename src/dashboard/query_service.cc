@@ -6,7 +6,6 @@
 
 #include "src/obs/exemplar.h"
 #include "src/obs/metrics.h"
-#include "src/obs/perf_recorder.h"
 
 namespace vizq::dashboard {
 
@@ -498,20 +497,18 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
                              .count();
   bctx.Observe("service.batch.ms", local_report.wall_ms);
 
-  // Hand the finished batch span to the flight recorder (error paths
-  // included — failed batches are the ones worth inspecting). The span is
-  // ended first so the recorded duration is final.
+  // Always-on tail exemplars: offer the finished batch span to the global
+  // store (error paths included — failed batches are the ones worth
+  // inspecting). The span is ended first so the captured duration is
+  // final. The WouldAdmit gate keeps the fast path to a couple of
+  // comparisons; the span-tree copy happens only for requests that make
+  // the tail.
   batch_span.End();
-  std::string name = "batch:" + (n > 0 ? batch[0].view : std::string("?"));
-  if (ctx.tracing_enabled()) {
-    obs::GlobalRecorder().Record(ctx, batch_span.get(), name);
-  }
-  // Always-on tail exemplars: offer this batch to the global store. The
-  // WouldAdmit gate keeps the fast path to a couple of comparisons; the
-  // full span-tree copy happens only for requests that make the tail.
   obs::TailExemplarStore& exemplars = obs::GlobalExemplars();
   if (exemplars.WouldAdmit(local_report.wall_ms)) {
-    exemplars.Offer(ctx, batch_span.get(), name, local_report.wall_ms,
+    exemplars.Offer(ctx, batch_span.get(),
+                    "batch:" + (n > 0 ? batch[0].view : std::string("?")),
+                    local_report.wall_ms,
                     first_error.ok() ? "content" : "error", /*shed=*/false);
   }
 

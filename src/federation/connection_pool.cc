@@ -61,7 +61,7 @@ StatusOr<PooledConnection> ConnectionPool::AcquirePreferring(
   // Total acquisition latency (contended or not) — unlike pool.wait_ms,
   // which only fires when the caller actually blocked, pool.acquire_us is
   // observed on every successful acquire so dashboards always see it.
-  const bool timing = ctx.metrics_enabled();
+  const bool timing = ctx.tracing_enabled();
   const Clock::time_point acquire_started =
       timing ? Clock::now() : Clock::time_point{};
   std::unique_lock<std::mutex> lock(mu_);
@@ -166,7 +166,7 @@ StatusOr<PooledConnection> ConnectionPool::AcquirePreferring(
       wait_started = Clock::now();
       ++stats_.waits;
       ctx.Count("pool.waits");
-      if (ctx.log_enabled()) {
+      if (ctx.tracing_enabled()) {
         ctx.LogEvent("pool", "wait all " + std::to_string(max_size_) +
                                  " connections busy");
       }

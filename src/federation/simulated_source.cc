@@ -70,7 +70,7 @@ class SimulatedConnection : public Connection {
     // threshold").
     VIZQ_ASSIGN_OR_RETURN(double queue_ms, source_->AdmitQuery(ctx));
     ctx.Observe("remote.queue_ms", queue_ms);
-    if (queue_ms >= 1.0 && ctx.log_enabled()) {
+    if (queue_ms >= 1.0 && ctx.tracing_enabled()) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.2f", queue_ms);
       ctx.LogEvent("remote", "admission-queued source=" + source_->name() +

@@ -1,10 +1,147 @@
 #include "src/obs/exemplar.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "src/common/phase_timeline.h"
 
 namespace vizq::obs {
+
+namespace {
+
+void AppendJsonEscaped(const std::string& s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
+std::string FormatUs(double us) {
+  // Chrome's ts/dur are microseconds; integers keep the export stable.
+  return std::to_string(static_cast<int64_t>(us < 0 ? 0 : us));
+}
+
+double ToUs(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
+}
+
+RecordedSpan CopySpan(const Span& span,
+                      std::chrono::steady_clock::time_point epoch) {
+  RecordedSpan out;
+  out.name = span.name();
+  out.start_us = ToUs(span.start_time() - epoch);
+  out.duration_us = span.duration_ms() * 1000.0;
+  for (const Span::Event& ev : span.events()) {
+    out.events.push_back(
+        RecordedEvent{ev.category, ev.detail, ToUs(ev.at - epoch)});
+  }
+  out.attributes = span.attributes();
+  for (const Span* child : span.children()) {
+    out.children.push_back(CopySpan(*child, epoch));
+  }
+  return out;
+}
+
+// One trace "thread" per tree depth: chrome://tracing renders nested spans
+// on separate rows without needing flow events, and each breadcrumb sits
+// on its span's row.
+void AppendSpanEvents(const RecordedSpan& span, int64_t pid, int depth,
+                      bool* first, std::string* out) {
+  const std::string ids = ",\"pid\":" + std::to_string(pid) +
+                          ",\"tid\":" + std::to_string(depth);
+  if (!*first) out->push_back(',');
+  *first = false;
+  out->append("{\"name\":\"");
+  AppendJsonEscaped(span.name, out);
+  out->append("\",\"ph\":\"X\",\"ts\":");
+  out->append(FormatUs(span.start_us));
+  out->append(",\"dur\":");
+  out->append(FormatUs(span.duration_us));
+  out->append(ids);
+  if (!span.attributes.empty()) {
+    out->append(",\"args\":{");
+    bool first_arg = true;
+    for (const auto& [key, value] : span.attributes) {
+      if (!first_arg) out->push_back(',');
+      first_arg = false;
+      out->push_back('"');
+      AppendJsonEscaped(key, out);
+      out->append("\":\"");
+      AppendJsonEscaped(value, out);
+      out->push_back('"');
+    }
+    out->push_back('}');
+  }
+  out->push_back('}');
+  for (const RecordedEvent& ev : span.events) {
+    out->append(",{\"name\":\"");
+    AppendJsonEscaped(ev.category, out);
+    out->append("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+    out->append(FormatUs(ev.at_us));
+    out->append(ids);
+    out->append(",\"args\":{\"detail\":\"");
+    AppendJsonEscaped(ev.detail, out);
+    out->append("\"}}");
+  }
+  for (const RecordedSpan& child : span.children) {
+    AppendSpanEvents(child, pid, depth + 1, first, out);
+  }
+}
+
+}  // namespace
+
+int RecordedSpan::TotalSpans() const {
+  int n = 1;
+  for (const RecordedSpan& c : children) n += c.TotalSpans();
+  return n;
+}
+
+const RecordedSpan* RecordedSpan::Find(const std::string& span_name) const {
+  if (name == span_name) return this;
+  for (const RecordedSpan& c : children) {
+    if (const RecordedSpan* found = c.Find(span_name)) return found;
+  }
+  return nullptr;
+}
+
+RecordedRequest CaptureRequest(const Span& span, const std::string& name,
+                               std::chrono::steady_clock::time_point epoch) {
+  RecordedRequest request;
+  request.name = name;
+  request.root = CopySpan(span, epoch);
+  request.duration_us = request.root.duration_us;
+  return request;
+}
+
+std::string RequestsToChromeTrace(
+    const std::vector<RecordedRequest>& requests) {
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  for (const RecordedRequest& r : requests) {
+    AppendSpanEvents(r.root, r.id, 0, &first, &out);
+    // Name the process after the request so Perfetto's track labels are
+    // meaningful.
+    out.append(",{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,");
+    out.append("\"pid\":" + std::to_string(r.id));
+    out.append(",\"tid\":0,\"args\":{\"name\":\"");
+    AppendJsonEscaped(r.name, &out);
+    out.append("\"}}");
+  }
+  out.append("],\"displayTimeUnit\":\"ms\"}");
+  return out;
+}
 
 TailExemplarStore::TailExemplarStore(TailExemplarOptions options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {}
@@ -55,7 +192,7 @@ void TailExemplarStore::Offer(const ExecContext& ctx, const Span* span,
     ex.timeline_text = tl->ToString();
   }
   if (span != nullptr && ctx.tracing_enabled()) {
-    ex.request = CaptureRequest(ctx, *span, name, epoch_);
+    ex.request = CaptureRequest(*span, name, epoch_);
   } else {
     // Shed / tracing-off requests still export: synthesize a one-span
     // tree with the observed duration so the Chrome trace stays valid.

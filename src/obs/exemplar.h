@@ -1,15 +1,16 @@
 // TailExemplarStore: always-on retention of *full traces* for the
 // requests that matter most — the slowest content requests and the
-// requests the shed ladder turned away.
+// requests the shed ladder turned away. It is the process's one store of
+// finished requests.
 //
 // Aggregates (histograms, SLO burn rates) tell you THAT the p99
 // regressed; they cannot tell you WHY. The exemplar store closes that
 // gap: for every completed request the serving layer offers the
 // request's duration plus its live span tree; the store keeps the top-K
 // slowest (and separately up to shed_k shed requests) per rolling time
-// window, copying the full PerfRecorder-style trace — span tree,
-// breadcrumbs, attachments, and the request's PhaseTimeline rendering —
-// only for requests that actually make the cut.
+// window, copying the span subtree — with each span's breadcrumbs and
+// attributes — and the request's PhaseTimeline rendering only for
+// requests that actually make the cut.
 //
 // Cost model: the hot path is WouldAdmit(), a handful of atomic/mutexed
 // comparisons against the current window's admission floor. The
@@ -19,8 +20,11 @@
 //
 // Two windows (current + previous) are retained so that a scrape right
 // after a window rolls still sees the tail of the last full window.
-// Exports reuse the PerfRecorder Chrome-trace writer, so exemplar dumps
-// load in chrome://tracing / Perfetto unchanged.
+// Exports are Chrome trace-event JSON ("trace event format"), loadable
+// in chrome://tracing / Perfetto: spans become complete ("ph":"X")
+// events whose "args" are the span's attributes, and breadcrumbs become
+// instant ("ph":"i") events on their span's row. Timestamps are
+// microseconds relative to the store's epoch (steady clock).
 
 #ifndef VIZQUERY_OBS_EXEMPLAR_H_
 #define VIZQUERY_OBS_EXEMPLAR_H_
@@ -28,14 +32,54 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/common/exec_context.h"
-#include "src/obs/perf_recorder.h"
 
 namespace vizq::obs {
+
+// One breadcrumb, copied out of the span that logged it.
+struct RecordedEvent {
+  std::string category;
+  std::string detail;
+  double at_us = 0;  // relative to the capture epoch
+};
+
+// One span, copied out of the live Trace (which the request owns and may
+// destroy after capture), with its own breadcrumbs and attributes.
+struct RecordedSpan {
+  std::string name;
+  double start_us = 0;  // relative to the capture epoch
+  double duration_us = 0;
+  std::vector<RecordedEvent> events;
+  std::map<std::string, std::string> attributes;
+  std::vector<RecordedSpan> children;
+
+  int TotalSpans() const;
+  // Depth-first (pre-order) search of this subtree; null when absent.
+  const RecordedSpan* Find(const std::string& span_name) const;
+};
+
+struct RecordedRequest {
+  int64_t id = 0;          // assigned by the store that retains it
+  std::string name;        // e.g. "batch:flights_star" or "shed:<view>"
+  double duration_us = 0;  // the captured root span's wall time
+  RecordedSpan root;
+};
+
+// Copies `span`'s subtree — every span's timing, breadcrumbs and
+// attributes — into an owned RecordedRequest with timestamps relative to
+// `epoch`. An open span is captured with its elapsed-so-far duration.
+// `id` is left 0 for the caller to assign.
+RecordedRequest CaptureRequest(const Span& span, const std::string& name,
+                               std::chrono::steady_clock::time_point epoch);
+
+// Chrome trace-event JSON for a set of captured requests (each renders as
+// one "pid" so Perfetto groups them).
+std::string RequestsToChromeTrace(const std::vector<RecordedRequest>& requests);
 
 struct TailExemplarOptions {
   // Slowest content requests retained per window.
@@ -53,7 +97,7 @@ struct TailExemplarOptions {
 // One retained request: the full recorded trace plus the serving-layer
 // verdict that made it interesting.
 struct Exemplar {
-  RecordedRequest request;   // span tree + breadcrumbs + attachments
+  RecordedRequest request;   // span tree with breadcrumbs + attributes
   double duration_ms = 0;
   std::string outcome;       // e.g. "content", "placeholder", "rejected"
   int rung = -1;             // shed-ladder rung, -1 when not degraded

@@ -61,7 +61,7 @@ class JsonValue {
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 // Structural validation of a Chrome trace-event document as produced by
-// obs::PerfRecorder::ToChromeTrace and accepted by chrome://tracing /
+// obs::RequestsToChromeTrace and accepted by chrome://tracing /
 // Perfetto: top-level object with a "traceEvents" array; every event has
 // string "name"/"ph", numeric "ts"/"pid"/"tid", duration events (ph "X")
 // additionally a numeric non-negative "dur". Returns the number of events

@@ -14,9 +14,8 @@
 //   * exposition: Prometheus-style text and a JSON snapshot.
 //
 // GlobalMetrics() is the process singleton. On first use it installs
-// itself as the ExecContext global sink, so every existing
-// ctx.Count/Observe call site (cache.*, pool.*, tde.*, service.*) feeds
-// the global registry with the same names the per-request view uses.
+// itself as the ExecContext global sink, so every ctx.Count/Observe call
+// site (cache.*, pool.*, tde.*, service.*) feeds the global registry.
 
 #ifndef VIZQUERY_OBS_METRICS_H_
 #define VIZQUERY_OBS_METRICS_H_
@@ -131,7 +130,7 @@ struct MetricsSnapshot {
 };
 
 // The registry. Thread-safe; implements the ExecContext global sink so
-// per-request metric strings land here too.
+// every ctx.Count/Observe lands here.
 class MetricsRegistry : public GlobalMetricsSink {
  public:
   MetricsRegistry() = default;

@@ -116,6 +116,10 @@ StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
     Measure m;
     uint8_t func;
     if (!r.U8(&func) || !r.Str(&m.column) || !r.Str(&m.alias)) return fail();
+    if (func > static_cast<uint8_t>(AggFunc::kCountDistinct)) {
+      return DataLoss("AbstractQuery: bad aggregate function " +
+                      std::to_string(func));
+    }
     m.func = static_cast<AggFunc>(func);
     q.measures.push_back(std::move(m));
   }
@@ -125,6 +129,10 @@ StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
     uint8_t kind, flag;
     uint32_t nv;
     if (!r.Str(&p.column) || !r.U8(&kind) || !r.U32(&nv)) return fail();
+    if (kind > static_cast<uint8_t>(ColumnPredicate::Kind::kRange)) {
+      return DataLoss("AbstractQuery: bad predicate kind " +
+                      std::to_string(kind));
+    }
     p.kind = static_cast<ColumnPredicate::Kind>(kind);
     for (uint32_t v = 0; v < nv; ++v) {
       Value val;

@@ -209,7 +209,7 @@ StatusOr<std::vector<ResultTable>> DataServer::ExecuteBatchForSession(
   VIZQ_RETURN_IF_ERROR(ctx.CheckContinue("server batch"));
   ctx.Count("server.batches");
   ctx.Count("server.queries", static_cast<int64_t>(batch.size()));
-  if (ctx.log_enabled()) {
+  if (ctx.tracing_enabled()) {
     ctx.LogEvent("server", "batch source=" + session->source_ + " user=" +
                                session->user_ + " queries=" +
                                std::to_string(batch.size()));

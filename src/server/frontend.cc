@@ -47,10 +47,14 @@ bool AnyDerived(const dashboard::BatchReport& r) {
 }  // namespace
 
 StatusOr<std::vector<ResultTable>> Frontend::Serve(
-    uint64_t session_id, const ExecContext& ctx,
+    uint64_t session_id, const ExecContext& request_ctx,
     const std::vector<query::AbstractQuery>& batch, ServeReport* report) {
   auto started = std::chrono::steady_clock::now();
-  ScopedSpan serve_span(ctx.StartSpan("frontend.serve"));
+  ScopedSpan serve_span(request_ctx.StartSpan("frontend.serve"));
+  // Admission, the batch and the degraded rungs run under frontend.serve,
+  // so its subtree (what a shed exemplar captures) holds their spans and
+  // the ladder's degrade/shed events.
+  const ExecContext ctx = request_ctx.WithSpan(serve_span.get());
   ServeReport local;
   // Which ladder rung answered: 0 admitted path, 1 stale-exact,
   // 2 derived, 3 typed shed.
@@ -108,10 +112,6 @@ StatusOr<std::vector<ResultTable>> Frontend::Serve(
       phase_total_hist_->Observe(local.wall_ms);
       phase_unattributed_hist_->Observe(
           std::max(0.0, local.wall_ms - server_attributed));
-      // The flight recorder copies attachments into its ring, so recorded
-      // requests carry their rendered timeline. Skipped for log-less
-      // contexts; the tail-exemplar store renders its own copy either way.
-      if (ctx.log() != nullptr) ctx.Attach("phase.timeline", tl->ToString());
     }
     switch (outcome) {
       case ServeOutcome::kFresh:

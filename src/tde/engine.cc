@@ -99,9 +99,9 @@ StatusOr<QueryResult> TdeEngine::Execute(const LogicalOpPtr& plan,
     }
   }
   if (result.analysis != nullptr) {
-    // The annotated plan and its root row count ride on the request log,
-    // so the PerfRecorder snapshots them with the trace; per-kind wall
-    // times feed the "tde.op.<kind>.ms" histograms.
+    // The annotated plan and its root row count are attributes of the
+    // tde:run span, so a captured exemplar carries them with the trace;
+    // per-kind wall times feed the "tde.op.<kind>.ms" histograms.
     std::string analyze_text = result.analysis->ToText();
     if (encoded.plans > 0 || encoded.fallbacks > 0) {
       analyze_text += "encoded: plans=" + std::to_string(encoded.plans) +
@@ -109,10 +109,10 @@ StatusOr<QueryResult> TdeEngine::Execute(const LogicalOpPtr& plan,
                       " rows_undecoded=" + std::to_string(rows_undecoded) +
                       "\n";
     }
-    ctx.Attach("tde.analyze", analyze_text);
-    ctx.Attach("tde.analyze.root_rows",
-               std::to_string(result.analysis->root_rows()));
-    if (ctx.metrics_enabled()) {
+    run_ctx.Attach("tde.analyze", analyze_text);
+    run_ctx.Attach("tde.analyze.root_rows",
+                   std::to_string(result.analysis->root_rows()));
+    if (ctx.tracing_enabled()) {
       result.analysis->ForEach([&ctx](const PlanNodeStats& node) {
         ctx.Observe("tde.op." + node.metric_key + ".ms", node.wall_ms());
       });

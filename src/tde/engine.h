@@ -55,7 +55,7 @@ struct QueryResult {
   std::shared_ptr<ExecStats> stats;
   // Per-operator runtime accounting (null when collect_analysis is off).
   // analysis->ToText() is the annotated EXPLAIN ANALYZE plan; the same
-  // text is attached to the request log as "tde.analyze".
+  // text is the "tde.analyze" attribute of the tde:run span.
   std::shared_ptr<PlanAnalysis> analysis;
   // The executed operator tree, kept alive until the caller drops the
   // result. Execute() returns as soon as the table is collected; freeing

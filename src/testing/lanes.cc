@@ -7,7 +7,7 @@
 #include "src/common/rng.h"
 #include "src/federation/data_source.h"
 #include "src/federation/simulated_source.h"
-#include "src/obs/perf_recorder.h"
+#include "src/obs/exemplar.h"
 #include "src/testing/reference_oracle.h"
 
 namespace vizq::testing {
@@ -73,6 +73,19 @@ std::string ClusterViewName(int i) { return "clv" + std::to_string(i); }
 bool IsTypedClusterError(StatusCode code) {
   return code == StatusCode::kResourceExhausted ||
          code == StatusCode::kDeadlineExceeded || code == StatusCode::kAborted;
+}
+
+// True when some span in `span`'s subtree logged a breadcrumb whose detail
+// starts with `prefix`.
+bool HasEventWithPrefix(const obs::RecordedSpan& span,
+                        const std::string& prefix) {
+  for (const obs::RecordedEvent& e : span.events) {
+    if (e.detail.rfind(prefix, 0) == 0) return true;
+  }
+  for (const obs::RecordedSpan& child : span.children) {
+    if (HasEventWithPrefix(child, prefix)) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -292,11 +305,9 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
   }
 
   // --- recorder consistency: a traced execution must leave a coherent
-  // PerfRecorder entry (observability is differentially tested too) ---
+  // span tree (observability is differentially tested too) ---
   {
-    obs::PerfRecorder& recorder = obs::GlobalRecorder();
-    const int64_t expect_id = recorder.NextRecordId();
-    ExecContext rctx;  // tracing + metrics + breadcrumbs all enabled
+    ExecContext rctx;  // spans, breadcrumbs, attributes and timeline
     StatusOr<ResultTable> traced =
         truth_service_->ExecuteQuery(rctx, q, truth_opts_);
     ++checks_run_;
@@ -306,35 +317,37 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
                                   traced.status().ToString(),
                               q.ToKeyString()});
     } else {
-      obs::RecordedRequest entry = recorder.FindById(expect_id);
+      const Span& root = *rctx.trace()->root();
+      obs::RecordedRequest entry =
+          obs::CaptureRequest(root, "recorder", root.start_time());
+      const obs::RecordedSpan* batch = entry.root.Find("batch");
       std::string problem;
-      if (entry.id == 0) {
-        problem = "no recorder entry landed (expected id " +
-                  std::to_string(expect_id) + ")";
-      } else if (entry.root.TotalSpans() < 1 || entry.root.name.empty()) {
-        problem = "recorder entry has an empty span tree";
+      if (batch == nullptr) {
+        problem = "traced context has no batch span";
       } else {
         // Root-operator rows-out must equal the rows the caller got back,
         // unless the service applied order/limit locally after the engine
         // (the "local-topn" breadcrumb marks that).
-        bool local_topn = false;
-        for (const obs::RecordedEvent& e : entry.events) {
-          if (e.detail.rfind("local-topn", 0) == 0) local_topn = true;
-        }
-        auto it = entry.attachments.find("tde.analyze.root_rows");
-        if (it == entry.attachments.end()) {
-          problem = "recorder entry lacks tde.analyze.root_rows attachment";
-        } else if (!local_topn &&
-                   it->second != std::to_string(traced->num_rows())) {
-          problem = "root operator rows-out " + it->second +
-                    " != result rows " + std::to_string(traced->num_rows());
+        bool local_topn = HasEventWithPrefix(*batch, "local-topn");
+        const obs::RecordedSpan* run = batch->Find("tde:run");
+        if (run == nullptr ||
+            run->attributes.count("tde.analyze.root_rows") == 0) {
+          problem = "batch span lacks a tde:run span with a "
+                    "tde.analyze.root_rows attribute";
+        } else {
+          const std::string& rows =
+              run->attributes.at("tde.analyze.root_rows");
+          if (!local_topn && rows != std::to_string(traced->num_rows())) {
+            problem = "root operator rows-out " + rows + " != result rows " +
+                      std::to_string(traced->num_rows());
+          }
         }
       }
       out.push_back(
           LaneCheck{"recorder", problem.empty(), problem, q.ToKeyString()});
 
-      // The request's PhaseTimeline must stay coherent with the recorded
-      // root span: no negative phase, and the attributed (root-phase) sum
+      // The request's PhaseTimeline must stay coherent with the batch
+      // span: no negative phase, and the attributed (root-phase) sum
       // within tolerance of the span's wall time — neither wildly over
       // (double counting) nor under half of it (a serving layer lost its
       // scope). Detail phases are additive and excluded by attributed_ns.
@@ -343,6 +356,8 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       const PhaseTimeline* tl = rctx.timeline();
       if (tl == nullptr) {
         tl_problem = "traced context carries no timeline";
+      } else if (batch == nullptr) {
+        tl_problem = "traced context has no batch span";
       } else {
         for (int p = 0; p < kNumPhases; ++p) {
           if (tl->phase_ns(static_cast<Phase>(p)) < 0) {
@@ -350,11 +365,11 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
                          PhaseName(static_cast<Phase>(p));
           }
         }
-        double span_ms = entry.duration_us / 1000.0;
+        double span_ms = batch->duration_us / 1000.0;
         double attr_ms = tl->attributed_ms();
         if (tl_problem.empty() && attr_ms > span_ms * 1.10 + 1.0) {
           tl_problem = "attributed " + std::to_string(attr_ms) +
-                       "ms overshoots root span " + std::to_string(span_ms) +
+                       "ms overshoots batch span " + std::to_string(span_ms) +
                        "ms";
         }
         // The under-attribution slack must absorb scheduler preemption:
@@ -365,7 +380,7 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
         constexpr double kSchedSlackMs = 5.0;
         if (tl_problem.empty() && attr_ms < span_ms * 0.5 - kSchedSlackMs) {
           tl_problem = "attributed " + std::to_string(attr_ms) +
-                       "ms is under half the root span " +
+                       "ms is under half the batch span " +
                        std::to_string(span_ms) + "ms";
         }
       }

@@ -149,6 +149,28 @@ TEST(ClusterWireTest, CorruptPayloadIsTypedDataLoss) {
   auto resp = DecodeBatchResponse("garbage");
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kDataLoss);
+
+  // Out-of-range enum tags inside a query: the aggregate function byte
+  // precedes the measure's length-prefixed column name, and the predicate
+  // kind byte follows the predicate's column name.
+  AbstractQuery tagged = QueryBuilder("tde", "sales")
+                             .Dim("region")
+                             .Agg(AggFunc::kSum, "units_col", "total")
+                             .FilterIn("product_col", {Value("p1")})
+                             .Build();
+  const std::string clean = EncodeBatchRequest({tagged}, WireBatchOptions{});
+  ASSERT_TRUE(DecodeBatchRequest(clean).ok());
+  const size_t func_at = clean.find("units_col") - 4 - 1;
+  const size_t kind_at = clean.find("product_col") + 11;
+  for (auto [at, tag] : {std::pair<size_t, char>{func_at, '\xEE'},
+                         std::pair<size_t, char>{kind_at, '\x77'}}) {
+    ASSERT_EQ(clean[at], '\0');  // kSum / kInSet
+    std::string flipped = clean;
+    flipped[at] = tag;
+    auto bad = DecodeBatchRequest(flipped);
+    ASSERT_FALSE(bad.ok()) << "tag at byte " << at;
+    EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(ClusterWireTest, EnvelopeRejectsBadMagic) {

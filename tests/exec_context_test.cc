@@ -1,6 +1,7 @@
 // ExecContext end-to-end: deadline/cancellation propagation through the
 // query stack (scan operators, connection pool, simulated backends, the
-// batch pipeline), trace span coverage, and per-request metrics.
+// batch pipeline), trace span coverage, and the metrics each layer
+// forwards to the global registry.
 
 #include "src/common/exec_context.h"
 
@@ -12,6 +13,7 @@
 #include "src/dashboard/query_service.h"
 #include "src/federation/connection_pool.h"
 #include "src/federation/simulated_source.h"
+#include "src/obs/metrics.h"
 #include "src/tde/exec/scan.h"
 #include "src/workload/faa_generator.h"
 #include "src/workload/flights_dashboards.h"
@@ -22,6 +24,12 @@ namespace {
 
 using query::AbstractQuery;
 using query::QueryBuilder;
+
+// The global registry's current value of counter `name` (installing the
+// registry as the ExecContext sink on first use).
+int64_t GlobalCount(const std::string& name) {
+  return obs::GlobalMetrics().GetCounter(name).value();
+}
 
 // --- primitives ---
 
@@ -51,7 +59,6 @@ TEST(ExecContextTest, CancellationIsSharedAndSticky) {
 TEST(ExecContextTest, BackgroundHasNoTraceOrMetrics) {
   const ExecContext& bg = ExecContext::Background();
   EXPECT_FALSE(bg.tracing_enabled());
-  EXPECT_FALSE(bg.metrics_enabled());
   EXPECT_EQ(bg.StartSpan("x"), nullptr);
   bg.Count("nope");  // no-op, must not crash
   EXPECT_TRUE(bg.CheckContinue("bg").ok());
@@ -76,21 +83,6 @@ TEST(ExecContextTest, SpanTreeRendersTextAndJson) {
   std::string json = ctx.trace()->ToJson();
   EXPECT_NE(json.find("\"name\":\"inner\""), std::string::npos);
   EXPECT_NE(json.find("\"children\":["), std::string::npos);
-}
-
-TEST(ExecContextTest, MetricsCountersAndHistograms) {
-  ExecContext ctx;
-  ctx.Count("hits");
-  ctx.Count("hits", 2);
-  ctx.Observe("wait_ms", 5.0);
-  ctx.Observe("wait_ms", 15.0);
-  EXPECT_EQ(ctx.metrics()->counter("hits"), 3);
-  EXPECT_EQ(ctx.metrics()->counter("absent"), 0);
-  auto h = ctx.metrics()->histogram("wait_ms");
-  EXPECT_EQ(h.count, 2);
-  EXPECT_DOUBLE_EQ(h.min, 5.0);
-  EXPECT_DOUBLE_EQ(h.max, 15.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 10.0);
 }
 
 // --- TDE operators ---
@@ -136,6 +128,7 @@ TEST(ExecContextTdeTest, EngineRecordsOperatorSpansAndMetrics) {
   auto db = vizq::testing::MakeTestDatabase(4096);
   tde::TdeEngine engine(db);
   ExecContext ctx;
+  const int64_t rows_before = GlobalCount("tde.rows_scanned");
   auto result =
       engine.Execute("(aggregate ((region region)) ((total sum units)) "
                      "(scan sales))",
@@ -153,7 +146,7 @@ TEST(ExecContextTdeTest, EngineRecordsOperatorSpansAndMetrics) {
   // The table is sorted by the group key, so the optimizer may pick either
   // aggregate flavor.
   EXPECT_TRUE(has("op:aggregate") || has("op:streaming-aggregate"));
-  EXPECT_GT(ctx.metrics()->counter("tde.rows_scanned"), 0);
+  EXPECT_GT(GlobalCount("tde.rows_scanned"), rows_before);
 }
 
 // --- connection pool ---
@@ -166,11 +159,12 @@ TEST(ExecContextPoolTest, AcquireHonorsDeadlineAndCountsTimeouts) {
   ASSERT_TRUE(held.ok());
 
   ExecContext ctx = ExecContext::WithDeadlineMs(10);
+  const int64_t timeouts_before = GlobalCount("pool.timeouts");
   auto blocked = pool.Acquire(ctx);
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(pool.stats().timeouts, 1);
-  EXPECT_GE(ctx.metrics()->counter("pool.timeouts"), 1);
+  EXPECT_GE(GlobalCount("pool.timeouts"), timeouts_before + 1);
 
   held->Release();
   auto after = pool.Acquire(ExecContext::WithDeadlineMs(1000));
@@ -307,6 +301,7 @@ TEST_F(ExecContextPipelineTest, TraceCoversPipelineStagesAndOperators) {
   // The identical batch again: pure intelligent-cache hits — no compile,
   // no submit, no operators.
   ExecContext hit_ctx;
+  const int64_t hits_before = GlobalCount("cache.intelligent.exact_hit");
   auto again = service.ExecuteBatch(hit_ctx, FaaBatch());
   ASSERT_TRUE(again.ok());
   std::vector<std::string> hit_names = hit_ctx.trace()->SpanNames();
@@ -321,7 +316,7 @@ TEST_F(ExecContextPipelineTest, TraceCoversPipelineStagesAndOperators) {
   EXPECT_FALSE(hit_has("op:"));
   // At least one query comes straight out of the intelligent cache; the
   // rest may be covered by batch analysis instead of individual lookups.
-  EXPECT_GE(hit_ctx.metrics()->counter("cache.intelligent.exact_hit"), 1);
+  EXPECT_GE(GlobalCount("cache.intelligent.exact_hit"), hits_before + 1);
 }
 
 TEST_F(ExecContextPipelineTest, MetricsMatchQueryReportTallies) {
@@ -332,8 +327,15 @@ TEST_F(ExecContextPipelineTest, MetricsMatchQueryReportTallies) {
 
   ExecContext ctx;
   dashboard::BatchReport report;
+  std::map<std::string, int64_t> before =
+      obs::GlobalMetrics().TakeSnapshot().counters;
   auto results = service.ExecuteBatch(ctx, FaaBatch(), {}, &report);
   ASSERT_TRUE(results.ok()) << results.status();
+  std::map<std::string, int64_t> after =
+      obs::GlobalMetrics().TakeSnapshot().counters;
+  auto delta = [&](const std::string& name) {
+    return after[name] - before[name];
+  };
 
   std::map<std::string, int64_t> expected;
   for (const dashboard::QueryReport& qr : report.queries) {
@@ -341,10 +343,10 @@ TEST_F(ExecContextPipelineTest, MetricsMatchQueryReportTallies) {
                dashboard::ServedFromToString(qr.served_from)];
   }
   for (const auto& [name, count] : expected) {
-    EXPECT_EQ(ctx.metrics()->counter(name), count) << name;
+    EXPECT_EQ(delta(name), count) << name;
   }
-  EXPECT_EQ(ctx.metrics()->counter("service.batches"), 1);
-  EXPECT_EQ(ctx.metrics()->counter("service.queries"),
+  EXPECT_EQ(delta("service.batches"), 1);
+  EXPECT_EQ(delta("service.queries"),
             static_cast<int64_t>(report.queries.size()));
 }
 

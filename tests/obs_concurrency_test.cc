@@ -1,7 +1,8 @@
 // Thread-safety suites for the always-on observability layer, written to
-// run under TSan (CI's thread-sanitizer job): the PerfRecorder's
-// Record/Export/Clear paths, the TailExemplarStore's Offer/Snapshot/Clear
-// window machinery, the SloMonitor's bucket ring, and PhaseTimeline's
+// run under TSan (CI's thread-sanitizer job): span events and attributes
+// written through WithSpan copies while the tree is captured and
+// exported, the TailExemplarStore's Offer/Snapshot/Clear window
+// machinery, the SloMonitor's bucket ring, and PhaseTimeline's
 // cross-thread Add + per-thread scope stacks. Each test hammers one
 // structure from several threads and then asserts the cheap invariants
 // that survive any interleaving (counts conserved, exports parse, no
@@ -18,7 +19,6 @@
 #include "src/common/phase_timeline.h"
 #include "src/obs/exemplar.h"
 #include "src/obs/json.h"
-#include "src/obs/perf_recorder.h"
 #include "src/obs/plan_profile.h"
 #include "src/obs/slo.h"
 
@@ -34,54 +34,60 @@ ExecContext MakeTracedWork(const std::string& crumb) {
   return ctx;
 }
 
-TEST(ObsConcurrencyTest, PerfRecorderRecordExportResetRace) {
-  PerfRecorderOptions options;
-  options.ring_capacity = 16;
-  options.slow_log_capacity = 8;
-  options.slow_threshold_ms = 0.0;
-  PerfRecorder recorder(options);
+// Breadcrumbs in `span`'s subtree.
+size_t TotalEvents(const RecordedSpan& span) {
+  size_t n = span.events.size();
+  for (const RecordedSpan& c : span.children) n += TotalEvents(c);
+  return n;
+}
 
+TEST(ObsConcurrencyTest, SpanEventsAttributesCaptureExportRace) {
+  // Writers open child spans and log through WithSpan copies of one
+  // context — the shape of a batch whose scheduler workers share a trace —
+  // while a reader captures and exports the growing tree.
+  ExecContext ctx;
+  const Span& root = *ctx.trace()->root();
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 200;
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> recorded{0};
+  std::atomic<int> writers_done{0};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerWriter; ++i) {
-        ExecContext ctx = MakeTracedWork("w" + std::to_string(t));
-        int64_t id = recorder.Record(ctx, ctx.trace()->root(),
-                                     "req:" + std::to_string(t) + "." +
-                                         std::to_string(i));
-        if (id > 0) recorded.fetch_add(1, std::memory_order_relaxed);
-        // Reads interleave with everyone else's writes.
-        (void)recorder.FindById(id);
+        ScopedSpan span(ctx.StartSpan("w" + std::to_string(t)));
+        ExecContext span_ctx = ctx.WithSpan(span.get());
+        span_ctx.LogEvent("test", std::to_string(i));
+        span_ctx.Attach("i", std::to_string(i));
+        // The shared root takes everyone's writes at once.
+        ctx.LogEvent("root", "w" + std::to_string(t));
+        ctx.Attach("last_writer", std::to_string(t));
       }
+      writers_done.fetch_add(1, std::memory_order_release);
     });
   }
-  // One exporter and one resetter racing the writers.
   threads.emplace_back([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::string trace = recorder.AllToChromeTrace();
-      EXPECT_TRUE(ValidateChromeTrace(trace).ok());
-      (void)recorder.Recent();
-      (void)recorder.Slowest();
+    while (writers_done.load(std::memory_order_acquire) < kWriters) {
+      RecordedRequest r = CaptureRequest(root, "live", root.start_time());
+      EXPECT_TRUE(ValidateChromeTrace(RequestsToChromeTrace({r})).ok());
     }
-  });
-  threads.emplace_back([&] {
-    for (int i = 0; i < 20; ++i) {
-      recorder.Clear();
-      std::this_thread::yield();
-    }
-    stop.store(true, std::memory_order_release);
   });
   for (std::thread& th : threads) th.join();
 
-  EXPECT_EQ(recorded.load(), kWriters * kPerWriter);
-  // total_recorded survives Clear(): it counts lifetime records.
-  EXPECT_EQ(recorder.total_recorded(), kWriters * kPerWriter);
-  EXPECT_TRUE(ValidateChromeTrace(recorder.AllToChromeTrace()).ok());
+  RecordedRequest final_capture =
+      CaptureRequest(root, "final", root.start_time());
+  EXPECT_EQ(final_capture.root.TotalSpans(), 1 + kWriters * kPerWriter);
+  EXPECT_EQ(TotalEvents(final_capture.root),
+            static_cast<size_t>(2 * kWriters * kPerWriter));
+  EXPECT_EQ(final_capture.root.events.size(),
+            static_cast<size_t>(kWriters * kPerWriter));
+  for (const RecordedSpan& child : final_capture.root.children) {
+    ASSERT_EQ(child.events.size(), 1u);
+    EXPECT_EQ(child.attributes.at("i"), child.events[0].detail);
+  }
+  EXPECT_EQ(final_capture.root.attributes.count("last_writer"), 1u);
+  EXPECT_TRUE(
+      ValidateChromeTrace(RequestsToChromeTrace({final_capture})).ok());
 }
 
 TEST(ObsConcurrencyTest, TailExemplarStoreOfferSnapshotClearRace) {

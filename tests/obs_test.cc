@@ -1,9 +1,10 @@
 // Tests for the observability layer (src/obs/): MetricsRegistry exactness
 // under concurrency, histogram percentile monotonicity, JSON parsing and
-// Chrome-trace validation, PerfRecorder retention/export, and the
-// operator-level EXPLAIN ANALYZE plumbing — including the acceptance
-// criterion that a fixed-seed FAA batch exports a schema-valid Chrome
-// trace that is stable across runs modulo timestamps.
+// Chrome-trace validation, span-tree capture/export (breadcrumbs and
+// attributes on the spans that logged them), and the operator-level
+// EXPLAIN ANALYZE plumbing — including the acceptance criterion that a
+// fixed-seed FAA batch exports a schema-valid Chrome trace that is stable
+// across runs modulo timestamps.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,6 @@
 #include "src/obs/exemplar.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/perf_recorder.h"
 #include "src/obs/plan_profile.h"
 #include "src/obs/slo.h"
 #include "src/workload/faa_generator.h"
@@ -184,94 +184,103 @@ TEST(JsonTest, ValidateChromeTraceCatchesSchemaViolations) {
   EXPECT_FALSE(ValidateChromeTrace(R"({"events": []})").ok());
 }
 
-// --- PerfRecorder ---
+// --- span-tree capture ---
 
-// Builds a context with a finished two-level span tree and breadcrumbs.
+// Builds a context with a finished two-level span tree: one breadcrumb on
+// the root, and one breadcrumb plus one attribute on "stage".
 ExecContext MakeTracedWork(const std::string& crumb) {
   ExecContext ctx;
   ctx.LogEvent("test", crumb);
-  Span* child = ctx.trace()->root()->StartChild("stage");
-  child->StartChild("inner")->End();
-  child->End();
-  ctx.Attach("note", "attachment body");
+  Span* stage = ctx.StartSpan("stage");
+  ExecContext stage_ctx = ctx.WithSpan(stage);
+  stage_ctx.LogEvent("test", "inside stage");
+  stage_ctx.Attach("note", "first draft");
+  stage_ctx.Attach("note", "attachment body");  // a later Attach wins
+  stage_ctx.StartSpan("inner")->End();
+  stage->End();
   return ctx;
 }
 
-TEST(PerfRecorderTest, RecordsSpansEventsAndAttachments) {
-  PerfRecorder recorder;
+// Captures the whole trace, timestamps relative to the request's start.
+RecordedRequest CaptureAll(const ExecContext& ctx, const std::string& name) {
+  const Span& root = *ctx.trace()->root();
+  return CaptureRequest(root, name, root.start_time());
+}
+
+TEST(CaptureRequestTest, RecordsSpansEventsAndAttributes) {
   ExecContext ctx = MakeTracedWork("decision made");
-  int64_t id = recorder.Record(ctx, ctx.trace()->root(), "req:a");
-  ASSERT_GT(id, 0);
-  RecordedRequest r = recorder.FindById(id);
-  EXPECT_EQ(r.id, id);
+  RecordedRequest r = CaptureAll(ctx, "req:a");
+  EXPECT_EQ(r.id, 0);  // assigned by the store that retains it
   EXPECT_EQ(r.name, "req:a");
+  EXPECT_EQ(r.duration_us, r.root.duration_us);
   EXPECT_EQ(r.root.TotalSpans(), 3);  // request -> stage -> inner
-  ASSERT_EQ(r.events.size(), 1u);
-  EXPECT_EQ(r.events[0].detail, "decision made");
-  EXPECT_EQ(r.attachments.at("note"), "attachment body");
-  EXPECT_EQ(recorder.total_recorded(), 1);
-  // Background contexts record nothing.
-  EXPECT_EQ(recorder.Record(ExecContext::Background(), nullptr, "x"), 0);
+
+  // Breadcrumbs and attributes come back on the spans that logged them.
+  ASSERT_EQ(r.root.events.size(), 1u);
+  EXPECT_EQ(r.root.events[0].category, "test");
+  EXPECT_EQ(r.root.events[0].detail, "decision made");
+  EXPECT_TRUE(r.root.attributes.empty());
+  const RecordedSpan* stage = r.root.Find("stage");
+  ASSERT_NE(stage, nullptr);
+  ASSERT_EQ(stage->events.size(), 1u);
+  EXPECT_EQ(stage->events[0].detail, "inside stage");
+  EXPECT_GE(stage->events[0].at_us, stage->start_us);
+  ASSERT_EQ(stage->attributes.size(), 1u);
+  EXPECT_EQ(stage->attributes.at("note"), "attachment body");
+  const RecordedSpan* inner = r.root.Find("inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_TRUE(inner->events.empty());
+  EXPECT_TRUE(inner->attributes.empty());
+  EXPECT_EQ(r.root.Find("absent"), nullptr);
+
+  // Capturing a subtree keeps only that subtree's breadcrumbs.
+  const Span* live_stage = ctx.trace()->root()->children().at(0);
+  RecordedRequest sub = CaptureRequest(*live_stage, "req:stage",
+                                       ctx.trace()->root()->start_time());
+  EXPECT_EQ(sub.root.TotalSpans(), 2);
+  ASSERT_EQ(sub.root.events.size(), 1u);
+  EXPECT_EQ(sub.root.events[0].detail, "inside stage");
+
+  // Background contexts log nothing and must not crash.
+  ExecContext::Background().LogEvent("test", "dropped");
+  ExecContext::Background().Attach("note", "dropped");
 }
 
-TEST(PerfRecorderTest, RingEvictsOldest) {
-  PerfRecorderOptions options;
-  options.ring_capacity = 2;
-  options.slow_log_capacity = 0;  // ring only
-  PerfRecorder recorder(options);
-  for (int i = 0; i < 4; ++i) {
-    ExecContext ctx = MakeTracedWork("r" + std::to_string(i));
-    recorder.Record(ctx, ctx.trace()->root(), "req:" + std::to_string(i));
-  }
-  std::vector<RecordedRequest> recent = recorder.Recent();
-  ASSERT_EQ(recent.size(), 2u);  // ring kept the newest two
-  EXPECT_EQ(recent[0].name, "req:3");
-  EXPECT_EQ(recent[1].name, "req:2");
-  EXPECT_TRUE(recorder.Slowest().empty());
-  EXPECT_EQ(recorder.total_recorded(), 4);
-  // Evicted entries no longer resolve.
-  EXPECT_EQ(recorder.FindById(1).id, 0);
-}
-
-TEST(PerfRecorderTest, SlowLogRetainsEntriesTheRingEvicted) {
-  PerfRecorderOptions options;
-  options.ring_capacity = 1;
-  options.slow_log_capacity = 2;
-  options.slow_threshold_ms = 0.0;  // everything is "slow"
-  PerfRecorder recorder(options);
-  std::vector<int64_t> ids;
-  for (int i = 0; i < 4; ++i) {
-    ExecContext ctx = MakeTracedWork("r" + std::to_string(i));
-    ids.push_back(
-        recorder.Record(ctx, ctx.trace()->root(), "req:" + std::to_string(i)));
-  }
-  ASSERT_EQ(recorder.Recent().size(), 1u);
-  std::vector<RecordedRequest> slow = recorder.Slowest();
-  ASSERT_EQ(slow.size(), 2u);  // fastest were evicted, slowest retained
-  EXPECT_GE(slow[0].duration_us, slow[1].duration_us);
-  // Slow-log entries stay resolvable by id even after the ring moved on.
-  for (const RecordedRequest& r : slow) {
-    EXPECT_EQ(recorder.FindById(r.id).id, r.id);
-  }
-  // Records in neither structure no longer resolve: of the four ids, the
-  // ring holds the newest and the slow log two more, so at least one is
-  // fully evicted.
-  int resolved = 0;
-  for (int64_t id : ids) {
-    if (recorder.FindById(id).id != 0) ++resolved;
-  }
-  EXPECT_LE(resolved, 3);
-}
-
-TEST(PerfRecorderTest, ChromeTraceExportValidates) {
-  PerfRecorder recorder;
-  ExecContext ctx = MakeTracedWork("crumb");
-  recorder.Record(ctx, ctx.trace()->root(), "req:x");
+TEST(CaptureRequestTest, ChromeTraceExportValidates) {
+  RecordedRequest r = CaptureAll(MakeTracedWork("crumb"), "req:x");
+  r.id = 7;
+  std::string trace = RequestsToChromeTrace({r});
   int n = 0;
-  Status s = ValidateChromeTrace(recorder.AllToChromeTrace(), &n);
+  Status s = ValidateChromeTrace(trace, &n);
   EXPECT_TRUE(s.ok()) << s;
-  // 3 spans + 1 instant + at least 1 metadata event.
-  EXPECT_GE(n, 5);
+  // 3 spans + 2 instants + 1 process-name metadata event.
+  EXPECT_EQ(n, 6);
+
+  // Attributes are the "args" of their span's complete event; breadcrumbs
+  // are instants on their span's row (one row per tree depth).
+  StatusOr<JsonValue> doc = ParseJson(trace);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  bool saw_args = false, saw_instant = false;
+  for (const JsonValue& ev : doc->Find("traceEvents")->array()) {
+    const std::string& ph = ev.Find("ph")->string();
+    EXPECT_EQ(ev.Find("pid")->number(), 7);
+    if (ph == "X" && ev.Find("name")->string() == "stage") {
+      const JsonValue* args = ev.Find("args");
+      ASSERT_NE(args, nullptr);
+      ASSERT_NE(args->Find("note"), nullptr);
+      EXPECT_EQ(args->Find("note")->string(), "attachment body");
+      saw_args = true;
+    } else if (ph == "X") {
+      EXPECT_EQ(ev.Find("args"), nullptr) << ev.Find("name")->string();
+    } else if (ph == "i" &&
+               ev.Find("args")->Find("detail")->string() == "inside stage") {
+      EXPECT_EQ(ev.Find("name")->string(), "test");
+      EXPECT_EQ(ev.Find("tid")->number(), 1);
+      saw_instant = true;
+    }
+  }
+  EXPECT_TRUE(saw_args);
+  EXPECT_TRUE(saw_instant);
 }
 
 // --- end-to-end: fixed-seed FAA batch through the service ---
@@ -329,17 +338,14 @@ TEST(ObservabilityEndToEndTest, FaaBatchTraceIsValidAndStableModuloTime) {
   std::string normalized[2];
   for (int run = 0; run < 2; ++run) {
     FaaFixture fx;  // fresh service + caches: identical cold-start state
-    PerfRecorder recorder;
     ExecContext ctx;
     auto results = fx.service->ExecuteBatch(ctx, FaaFixture::Batch(), {},
                                             nullptr);
     ASSERT_TRUE(results.ok()) << results.status();
     ASSERT_EQ(results->size(), 3u);
-    // Record into a private recorder for a deterministic single entry.
-    int64_t id = recorder.Record(ctx, ctx.trace()->root(), "batch:faa");
-    RecordedRequest r = recorder.FindById(id);
+    RecordedRequest r = CaptureAll(ctx, "batch:faa");
     EXPECT_GE(r.root.TotalSpans(), 2);
-    std::string trace = PerfRecorder::ToChromeTrace(r);
+    std::string trace = RequestsToChromeTrace({r});
     int n = 0;
     Status valid = ValidateChromeTrace(trace, &n);
     ASSERT_TRUE(valid.ok()) << valid;
@@ -363,11 +369,16 @@ TEST(ObservabilityEndToEndTest, ExplainAnalyzeRootRowsMatchResult) {
   ExecContext ctx;
   auto result = fx.service->ExecuteQuery(ctx, q, opts);
   ASSERT_TRUE(result.ok()) << result.status();
-  std::string plan = ctx.log()->attachment("tde.analyze");
-  ASSERT_FALSE(plan.empty());
+  // The plan rides on the engine's own tde:run span.
+  RecordedRequest r = CaptureAll(ctx, "query");
+  const RecordedSpan* run = r.root.Find("tde:run");
+  ASSERT_NE(run, nullptr);
+  ASSERT_EQ(run->attributes.count("tde.analyze"), 1u);
+  const std::string& plan = run->attributes.at("tde.analyze");
   EXPECT_NE(plan.find("Aggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("rows="), std::string::npos) << plan;
-  EXPECT_EQ(ctx.log()->attachment("tde.analyze.root_rows"),
+  ASSERT_EQ(run->attributes.count("tde.analyze.root_rows"), 1u);
+  EXPECT_EQ(run->attributes.at("tde.analyze.root_rows"),
             std::to_string(result->num_rows()));
 }
 
@@ -394,9 +405,10 @@ TEST(ObservabilityEndToEndTest, CacheMissReasonsReachGlobalRegistry) {
   ExecContext ctx;
   EXPECT_FALSE(cache.LookupHit(asks_more, ctx).has_value());
   EXPECT_EQ(miss_counter.value(), before + 1);
-  // The typed reason also lands in the per-request breadcrumbs.
+  // The typed reason also lands as a breadcrumb on the context's current
+  // span (here the root).
   bool found = false;
-  for (const auto& e : ctx.log()->events()) {
+  for (const Span::Event& e : ctx.trace()->root()->events()) {
     if (e.detail.find("reason=dimension_not_stored") != std::string::npos) {
       found = true;
     }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -22,6 +23,7 @@
 #include "src/dashboard/query_service.h"
 #include "src/federation/data_source.h"
 #include "src/federation/simulated_source.h"
+#include "src/obs/exemplar.h"
 #include "src/server/admission.h"
 #include "src/server/frontend.h"
 #include "src/workload/sessions.h"
@@ -535,6 +537,25 @@ TEST(TrafficFrontendTest, LadderServesBoundedStaleThenTypedShed) {
   EXPECT_EQ(s.frontend->stats().shed, 1);
   EXPECT_EQ(s.frontend->stats().stale, 1);
   EXPECT_EQ(s.frontend->admission().stats().inflight, 0);
+
+  // The retained shed exemplar (the newest shed, listed first among the
+  // sheds) tells its story: the degraded rungs' batch spans nest under
+  // frontend.serve, which carries the ladder's shed breadcrumb.
+  std::vector<obs::Exemplar> kept = obs::GlobalExemplars().Snapshot();
+  auto shed_ex = std::find_if(kept.begin(), kept.end(),
+                              [](const obs::Exemplar& e) { return e.shed; });
+  ASSERT_NE(shed_ex, kept.end());
+  const obs::RecordedSpan& serve = shed_ex->request.root;
+  EXPECT_EQ(serve.name, "frontend.serve");
+  EXPECT_NE(serve.Find("batch"), nullptr);
+  EXPECT_NE(serve.Find("frontend.degraded"), nullptr);
+  bool saw_shed_event = false;
+  for (const obs::RecordedEvent& ev : serve.events) {
+    if (ev.category == "frontend" && ev.detail.rfind("shed ", 0) == 0) {
+      saw_shed_event = true;
+    }
+  }
+  EXPECT_TRUE(saw_shed_event);
 }
 
 TEST(TrafficFrontendTest, FairAdmissionShieldsPoliteSessionFromGreedyLoad) {

@@ -5,14 +5,14 @@
 //
 //   * the global MetricsRegistry snapshot (Prometheus text, or JSON with
 //     --json) — cache, pool, service and per-operator histograms;
-//   * the slowest-N recorded requests with their span trees;
-//   * the whole recorded workload as Chrome trace-event JSON
-//     (--trace-out FILE, loadable in chrome://tracing / Perfetto);
-//   * the tail-exemplar store: retained slowest-request traces with their
-//     phase timelines (--exemplar-trace-out FILE exports them as Chrome
-//     trace JSON);
+//   * the slowest-N requests the tail-exemplar store retained, with their
+//     span trees and breadcrumbs;
+//   * every retained exemplar with its phase timeline, and (--trace-out
+//     FILE) all of them as Chrome trace-event JSON, loadable in
+//     chrome://tracing / Perfetto;
 //   * per-plan-shape latency profiles (signature, count, p50/p95/p99);
-//   * one operator-level EXPLAIN ANALYZE plan for a probe query.
+//   * the operator-level EXPLAIN ANALYZE plans of two probe queries, read
+//     from their tde:run spans' attributes.
 //
 // --selftest runs the same workload and asserts the acceptance criteria
 // (plausible p50<=p95<=p99 in cache/pool/operator histograms, schema-valid
@@ -31,14 +31,14 @@
 //
 //   ./build/tools/vizq_stats [--flights N] [--seed S] [--slow-n N]
 //                            [--json] [--cluster N] [--trace-out FILE]
-//                            [--exemplar-trace-out FILE] [--selftest]
+//                            [--selftest]
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,7 +48,6 @@
 #include "src/obs/exemplar.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
-#include "src/obs/perf_recorder.h"
 #include "src/obs/plan_profile.h"
 #include "src/query/abstract_query.h"
 #include "src/workload/faa_generator.h"
@@ -66,13 +65,12 @@ struct ToolOptions {
   bool selftest = false;
   int cluster_nodes = 0;  // 0 = single-node service
   std::string trace_out;
-  std::string exemplar_trace_out;
 };
 
 // What one workload run leaves behind for printing / asserting.
 struct WorkloadResult {
   std::string plan_text;       // annotated EXPLAIN ANALYZE of the probe
-  std::string plan_root_rows;  // "tde.analyze.root_rows" attachment
+  std::string plan_root_rows;  // "tde.analyze.root_rows" attribute
   int64_t probe_rows = 0;      // rows the probe actually returned
   // Second probe (carrier x dest_state): grouping not satisfied by the
   // table sort, so the encoded Scan->Aggregate path must claim it.
@@ -84,6 +82,17 @@ struct WorkloadResult {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "vizq_stats: %s\n", message.c_str());
   return 1;
+}
+
+// The attributes of the tde:run span in `ctx`'s trace (empty when the
+// request never reached the engine).
+std::map<std::string, std::string> RunAttributes(const ExecContext& ctx) {
+  const Span& root = *ctx.trace()->root();
+  obs::RecordedRequest r =
+      obs::CaptureRequest(root, "probe", root.start_time());
+  const obs::RecordedSpan* run = r.root.Find("tde:run");
+  return run == nullptr ? std::map<std::string, std::string>()
+                        : run->attributes;
 }
 
 StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
@@ -133,8 +142,8 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
   dashboard::DashboardRenderer renderer(executor);
 
   // Figure 1: cold load, a map selection, then a warm re-render (cache
-  // exact/derived hits). Each render gets its own traced context, so each
-  // dashboard batch becomes one recorder entry.
+  // exact/derived hits). Each render gets its own traced context, and each
+  // dashboard batch is offered to the tail-exemplar store.
   dashboard::Dashboard fig1 = workload::BuildFigure1Dashboard("faa");
   {
     dashboard::InteractionState state;
@@ -210,8 +219,9 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
                         service.ExecuteQuery(pctx, probe, probe_opts));
   ++out.queries_run;
   out.probe_rows = probe_result.num_rows();
-  out.plan_text = pctx.log()->attachment("tde.analyze");
-  out.plan_root_rows = pctx.log()->attachment("tde.analyze.root_rows");
+  std::map<std::string, std::string> plan = RunAttributes(pctx);
+  out.plan_text = plan["tde.analyze"];
+  out.plan_root_rows = plan["tde.analyze.root_rows"];
 
   // Encoded-path probe: carrier x dest_state. The flights table is sorted
   // by carrier only, so streaming aggregation cannot claim this grouping;
@@ -228,13 +238,17 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
                         service.ExecuteQuery(ectx, encoded_probe, probe_opts));
   ++out.queries_run;
   out.encoded_probe_rows = encoded_result.num_rows();
-  out.encoded_plan_text = ectx.log()->attachment("tde.analyze");
+  out.encoded_plan_text = RunAttributes(ectx)["tde.analyze"];
   return out;
 }
 
 void PrintSpanTree(const obs::RecordedSpan& span, int depth) {
   std::printf("    %*s%s  %.3f ms\n", depth * 2, "", span.name.c_str(),
               span.duration_us / 1000.0);
+  for (const obs::RecordedEvent& ev : span.events) {
+    std::printf("    %*s- %s: %s\n", depth * 2 + 2, "", ev.category.c_str(),
+                ev.detail.c_str());
+  }
   for (const obs::RecordedSpan& child : span.children) {
     PrintSpanTree(child, depth + 1);
   }
@@ -244,7 +258,7 @@ void PrintSpanTree(const obs::RecordedSpan& span, int depth) {
 int SelfTest(const WorkloadResult& result) {
   // (c) EXPLAIN ANALYZE root rows-out == returned rows.
   if (result.plan_text.empty()) {
-    return Fail("selftest: probe left no tde.analyze attachment");
+    return Fail("selftest: probe left no tde.analyze attribute");
   }
   if (result.plan_root_rows != std::to_string(result.probe_rows)) {
     return Fail("selftest: plan root rows-out '" + result.plan_root_rows +
@@ -301,20 +315,8 @@ int SelfTest(const WorkloadResult& result) {
     return Fail("selftest: cache.intelligent.miss counter missing");
   }
 
-  // (b) the recorded workload exports as schema-valid Chrome trace JSON.
-  if (obs::GlobalRecorder().total_recorded() <= 0) {
-    return Fail("selftest: recorder captured no requests");
-  }
-  std::string trace = obs::GlobalRecorder().AllToChromeTrace();
-  int num_events = 0;
-  Status valid = obs::ValidateChromeTrace(trace, &num_events);
-  if (!valid.ok()) {
-    return Fail("selftest: Chrome trace invalid: " + valid.ToString());
-  }
-  if (num_events <= 0) return Fail("selftest: Chrome trace has no events");
-
   // (e) the always-on tail-exemplar store retained this run's slowest
-  // requests, and they export as a schema-valid Chrome trace too.
+  // requests, and they export as a schema-valid Chrome trace.
   obs::TailExemplarStore& exemplars = obs::GlobalExemplars();
   if (exemplars.total_retained() <= 0) {
     return Fail("selftest: tail-exemplar store retained nothing");
@@ -349,12 +351,10 @@ int SelfTest(const WorkloadResult& result) {
     }
   }
 
-  std::printf("vizq_stats selftest OK: %lld queries, %lld recorded requests, "
-              "%d trace events, %lld tail exemplars, %zu plan shapes, "
-              "probe rows %lld\n",
-              static_cast<long long>(result.queries_run),
-              static_cast<long long>(obs::GlobalRecorder().total_recorded()),
-              num_events, static_cast<long long>(exemplars.total_retained()),
+  std::printf("vizq_stats selftest OK: %lld queries, %d trace events, "
+              "%lld tail exemplars, %zu plan shapes, probe rows %lld\n",
+              static_cast<long long>(result.queries_run), exemplar_events,
+              static_cast<long long>(exemplars.total_retained()),
               profiles.size(), static_cast<long long>(result.probe_rows));
   return 0;
 }
@@ -381,14 +381,10 @@ int main(int argc, char** argv) {
       opt.selftest = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       opt.trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--exemplar-trace-out") == 0 &&
-               i + 1 < argc) {
-      opt.exemplar_trace_out = argv[++i];
     } else {
       return Fail(std::string("unknown flag: ") + argv[i] +
                   "\nusage: vizq_stats [--flights N] [--seed S] [--slow-n N]"
-                  " [--json] [--cluster N] [--trace-out FILE]"
-                  " [--exemplar-trace-out FILE] [--selftest]");
+                  " [--json] [--cluster N] [--trace-out FILE] [--selftest]");
     }
   }
 
@@ -397,7 +393,6 @@ int main(int argc, char** argv) {
 
   // Fresh observability epoch so the dump reflects exactly this run.
   obs::GlobalMetrics().Reset();
-  obs::GlobalRecorder().Clear();
   obs::GlobalExemplars().Clear();
   obs::GlobalPlanProfiles().Reset();
 
@@ -415,25 +410,19 @@ int main(int argc, char** argv) {
     std::printf("%s", obs::GlobalMetrics().ToPrometheusText().c_str());
   }
 
-  // --- slowest recorded requests ---
-  // Fast runs leave the slow-query log empty; rank the ring instead so
-  // the dump always shows where the time went.
-  std::vector<obs::RecordedRequest> slow = obs::GlobalRecorder().Slowest();
-  if (slow.empty()) {
-    slow = obs::GlobalRecorder().Recent();
-    std::sort(slow.begin(), slow.end(),
-              [](const obs::RecordedRequest& a, const obs::RecordedRequest& b) {
-                return a.duration_us > b.duration_us;
-              });
-  }
-  std::printf("\n== slowest %d of %lld recorded requests ==\n", opt.slow_n,
-              static_cast<long long>(obs::GlobalRecorder().total_recorded()));
+  obs::TailExemplarStore& store = obs::GlobalExemplars();
+  std::vector<obs::Exemplar> kept = store.Snapshot();
+
+  // --- slowest retained requests (Snapshot lists them slowest first) ---
+  std::printf("\n== slowest %d of %zu retained requests ==\n", opt.slow_n,
+              kept.size());
   int shown = 0;
-  for (const obs::RecordedRequest& r : slow) {
-    if (shown++ >= opt.slow_n) break;
-    std::printf("  #%lld %s  %.3f ms, %d spans, %zu breadcrumbs\n",
+  for (const obs::Exemplar& e : kept) {
+    if (e.shed || shown++ >= opt.slow_n) break;
+    const obs::RecordedRequest& r = e.request;
+    std::printf("  #%lld %s  %.3f ms, %d spans\n",
                 static_cast<long long>(r.id), r.name.c_str(),
-                r.duration_us / 1000.0, r.root.TotalSpans(), r.events.size());
+                r.duration_us / 1000.0, r.root.TotalSpans());
     PrintSpanTree(r.root, 0);
   }
 
@@ -441,15 +430,13 @@ int main(int argc, char** argv) {
   if (!opt.trace_out.empty()) {
     std::ofstream f(opt.trace_out, std::ios::trunc);
     if (!f) return Fail("cannot open " + opt.trace_out);
-    f << obs::GlobalRecorder().AllToChromeTrace();
+    f << store.ToChromeTrace();
     std::printf("\nwrote Chrome trace (load in chrome://tracing) to %s\n",
                 opt.trace_out.c_str());
   }
 
   // --- tail exemplars ---
   {
-    obs::TailExemplarStore& store = obs::GlobalExemplars();
-    std::vector<obs::Exemplar> kept = store.Snapshot();
     std::printf("\n== tail exemplars (%zu retained of %lld offered) ==\n",
                 kept.size(), static_cast<long long>(store.total_offered()));
     for (const obs::Exemplar& e : kept) {
@@ -461,13 +448,6 @@ int main(int argc, char** argv) {
       if (!e.timeline_text.empty()) {
         std::printf("    timeline: %s\n", e.timeline_text.c_str());
       }
-    }
-    if (!opt.exemplar_trace_out.empty()) {
-      std::ofstream f(opt.exemplar_trace_out, std::ios::trunc);
-      if (!f) return Fail("cannot open " + opt.exemplar_trace_out);
-      f << store.ToChromeTrace();
-      std::printf("  wrote exemplar Chrome trace to %s\n",
-                  opt.exemplar_trace_out.c_str());
     }
   }
 
