@@ -78,7 +78,7 @@ class GlobalLockCache {
       out = it->second.result;  // deep copy under the lock
     } else {
       for (auto& [key, e] : entries_) {
-        auto plan = cache::MatchQueries(e.descriptor, e.result.columns(), q);
+        auto plan = cache::MatchQueries(e.descriptor, q);
         if (!plan.has_value()) continue;
         auto derived = cache::ApplyMatchPlan(e.result, *plan, q);
         if (!derived.ok()) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <set>
 
 namespace vizq::cache {
@@ -28,6 +29,26 @@ int FindStoredDimension(const AbstractQuery& stored, const std::string& name) {
     if (stored.dimensions[i] == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+// The entry signature's bit for a column name. Two names can share a bit,
+// so only a clear bit is proof: a name whose bit is clear is absent.
+uint64_t ColumnBit(const std::string& name) {
+  return uint64_t{1} << (std::hash<std::string>{}(name) & 63);
+}
+
+uint64_t DimensionBits(const AbstractQuery& q) {
+  uint64_t bits = 0;
+  for (const std::string& dim : q.dimensions) bits |= ColumnBit(dim);
+  return bits;
+}
+
+uint64_t FilterColumnBits(const AbstractQuery& q) {
+  uint64_t bits = 0;
+  for (const ColumnPredicate& p : q.filters.predicates) {
+    bits |= ColumnBit(p.column);
+  }
+  return bits;
 }
 
 bool SameDimensionSet(const AbstractQuery& a, const AbstractQuery& b) {
@@ -87,17 +108,25 @@ std::nullopt_t Fail(MissReason r, MissReason* out) {
 
 }  // namespace
 
-std::optional<MatchPlan> MatchQueries(
-    const AbstractQuery& stored,
-    const std::vector<ResultColumn>& stored_columns,
-    const AbstractQuery& requested, MissReason* reason) {
+std::optional<MatchPlan> MatchQueries(const AbstractQuery& stored,
+                                      const AbstractQuery& requested,
+                                      MissReason* reason) {
+  return MatchQueries(stored, stored.ToKeyString(), requested,
+                      requested.ToKeyString(), reason);
+}
+
+std::optional<MatchPlan> MatchQueries(const AbstractQuery& stored,
+                                      const std::string& stored_key,
+                                      const AbstractQuery& requested,
+                                      const std::string& requested_key,
+                                      MissReason* reason) {
   if (stored.data_source != requested.data_source ||
       stored.view != requested.view) {
     return Fail(MissReason::kNoCandidate, reason);
   }
 
   // Byte-identical request: zero post-processing.
-  if (stored.ToKeyString() == requested.ToKeyString()) {
+  if (stored_key == requested_key) {
     MatchPlan plan;
     plan.exact = true;
     return plan;
@@ -214,7 +243,6 @@ std::optional<MatchPlan> MatchQueries(
                            plan.apply_order_limit
                        ? 1
                        : 0;
-  (void)stored_columns;
   return plan;
 }
 
@@ -414,9 +442,7 @@ StatusOr<ResultTable> ApplyMatchPlan(const ResultTable& stored,
                 // sources are never null in stored rows, so has_value==0
                 // means no source rows at all — which cannot happen for a
                 // created group. Null-sum groups keep null.
-                row.push_back(t.kind == TypeKind::kFloat64
-                                  ? Value::Null()
-                                  : Value::Null());
+                row.push_back(Value::Null());
               } else if (t.kind == TypeKind::kFloat64) {
                 row.push_back(Value(g.sum_d[mi] +
                                     static_cast<double>(g.sum_i[mi])));
@@ -585,6 +611,8 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
   PhaseScope phase(ctx.timeline(), Phase::kCacheLookup);
   int64_t tick = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::string key = q.ToKeyString();
+  uint64_t q_dims = DimensionBits(q);
+  uint64_t q_filters = FilterColumnBits(q);
   std::string bucket_key = q.data_source + "\x1f" + q.view;
   Shard& shard = ShardFor(bucket_key);
 
@@ -604,8 +632,9 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
   };
 
   // Under the shard lock: metadata only. The exact probe returns a
-  // refcounted snapshot; the subsumption scan compares descriptors and
-  // snapshots the winning entry so ApplyMatchPlan can run lock-free.
+  // refcounted snapshot; the subsumption scan compares signatures, then
+  // descriptors, and snapshots the winning entry so ApplyMatchPlan can
+  // run lock-free.
   std::shared_ptr<Entry> best;
   std::shared_ptr<const ResultTable> best_table;
   MatchPlan best_plan;
@@ -661,9 +690,14 @@ std::optional<CacheHit> IntelligentCache::LookupHit(
           miss_reason = std::max(miss_reason, MissReason::kEntryStale);
           continue;
         }
-        MissReason candidate_reason = MissReason::kNone;
-        auto plan = MatchQueries(entry->descriptor, entry->result->columns(),
-                                 q, &candidate_reason);
+        MissReason candidate_reason =
+            RejectBySignature(*entry, q, key, q_dims, q_filters);
+        if (candidate_reason != MissReason::kNone) {
+          miss_reason = std::max(miss_reason, candidate_reason);
+          continue;
+        }
+        auto plan = MatchQueries(entry->descriptor, entry->key, q, key,
+                                 &candidate_reason);
         if (!plan.has_value()) {
           miss_reason = std::max(miss_reason, candidate_reason);
           continue;
@@ -763,14 +797,37 @@ void IntelligentCache::CountMiss(MissReason reason, const AbstractQuery& q,
       1, std::memory_order_relaxed);
   ctx.Count("cache.intelligent.miss");
   if (ctx.tracing_enabled()) {
-    ctx.Count(std::string("cache.intelligent.miss.") +
-              MissReasonToString(reason));
-  }
-  if (ctx.tracing_enabled()) {
+    const char* why = MissReasonToString(reason);
+    ctx.Count(std::string("cache.intelligent.miss.") + why);
     ctx.LogEvent("cache.intelligent",
-                 std::string("miss view=") + q.view + " reason=" +
-                     MissReasonToString(reason));
+                 std::string("miss view=") + q.view + " reason=" + why);
   }
+}
+
+MissReason IntelligentCache::RejectBySignature(const Entry& entry,
+                                               const AbstractQuery& q,
+                                               const std::string& key,
+                                               uint64_t q_dims,
+                                               uint64_t q_filters) {
+  // The proof's own order, so a rejection names the step the proof would
+  // have failed at. Every entry of a bucket has q's source and view.
+  if (entry.has_limit) {
+    return entry.key == key ? MissReason::kNone : MissReason::kStoredTopN;
+  }
+  // A requested dimension whose bit the entry lacks is not stored.
+  if ((q_dims & ~entry.dim_bits) != 0) return MissReason::kDimensionNotStored;
+  // A stored filter column whose bit the request lacks is unfiltered by
+  // the request, so Implies fails, unless the dimension loop (which the
+  // bits cannot settle) fails first.
+  if ((entry.filter_bits & ~q_filters) != 0) {
+    for (const std::string& dim : q.dimensions) {
+      if (FindStoredDimension(entry.descriptor, dim) < 0) {
+        return MissReason::kDimensionNotStored;
+      }
+    }
+    return MissReason::kFiltersNotImplied;
+  }
+  return MissReason::kNone;
 }
 
 std::optional<ResultTable> IntelligentCache::Lookup(const AbstractQuery& q,
@@ -797,6 +854,9 @@ void IntelligentCache::Put(const AbstractQuery& q, ResultTable result,
   entry->usage.eval_cost_ms = eval_cost_ms;
   entry->usage.bytes = bytes;
   entry->key = q.ToKeyString();
+  entry->has_limit = q.has_limit();
+  entry->dim_bits = DimensionBits(q);
+  entry->filter_bits = FilterColumnBits(q);
   entry->bucket_key = q.data_source + "\x1f" + q.view;
 
   Shard& shard = ShardFor(entry->bucket_key);

@@ -98,13 +98,19 @@ inline constexpr int kNumMissReasons = 9;
 const char* MissReasonToString(MissReason r);
 
 // Attempts the subsumption proof. Returns nullopt when `stored` cannot
-// answer `requested`. `stored_columns` is the stored result's schema.
-// When `reason` is non-null and the proof fails, it receives which check
-// rejected the candidate (untouched on success).
-std::optional<MatchPlan> MatchQueries(
-    const query::AbstractQuery& stored,
-    const std::vector<ResultColumn>& stored_columns,
-    const query::AbstractQuery& requested, MissReason* reason = nullptr);
+// answer `requested`. When `reason` is non-null and the proof fails, it
+// receives which check rejected the candidate (untouched on success).
+std::optional<MatchPlan> MatchQueries(const query::AbstractQuery& stored,
+                                      const query::AbstractQuery& requested,
+                                      MissReason* reason = nullptr);
+
+// The same proof with both descriptors' ToKeyString() supplied, for
+// callers that match one query against many and build each key once.
+std::optional<MatchPlan> MatchQueries(const query::AbstractQuery& stored,
+                                      const std::string& stored_key,
+                                      const query::AbstractQuery& requested,
+                                      const std::string& requested_key,
+                                      MissReason* reason = nullptr);
 
 // Executes the post-processing recipe over the stored rows.
 StatusOr<ResultTable> ApplyMatchPlan(const ResultTable& stored,
@@ -197,10 +203,13 @@ struct LookupOptions {
 // Thread-safe, lock-striped. Shards are selected by the hash of the
 // (data_source, view) bucket key, so one lookup — exact probe plus
 // subsumption scan — touches exactly one shard mutex. Under the shard
-// lock only metadata work happens (map probes, MatchQueries over
-// descriptors, usage bumps); exact hits hand back a refcounted snapshot
-// and the expensive derived-hit roll-up (ApplyMatchPlan) runs on a
-// snapshotted entry after the lock is released.
+// lock only metadata work happens (map probes, the subsumption scan,
+// usage bumps); exact hits hand back a refcounted snapshot and the
+// expensive derived-hit roll-up (ApplyMatchPlan) runs on a snapshotted
+// entry after the lock is released. The scan first tests each
+// candidate's match signature (computed once at Put): a candidate the
+// signature proves unanswerable is rejected with the MissReason the
+// proof would return, and only the rest run MatchQueries.
 class IntelligentCache {
  public:
   explicit IntelligentCache(IntelligentCacheOptions options = {});
@@ -265,6 +274,13 @@ class IntelligentCache {
     // Wall-free insertion instant; an entry's age at lookup decides fresh
     // vs stale under the fresh_ttl_ms policy.
     std::chrono::steady_clock::time_point stored_at{};
+    // Match signature, set at Put for RejectBySignature:
+    // descriptor.has_limit(), and one bit per dimension and per filtered
+    // column. A name whose bit is clear is certainly absent; a set bit
+    // proves nothing, because two names can share a bit.
+    bool has_limit = false;
+    uint64_t dim_bits = 0;
+    uint64_t filter_bits = 0;
     EntryUsage usage;
     uint64_t heap_seq = 0;  // bumped per usage change (lazy heap deletion)
     bool evicted = false;   // left the maps; heap nodes must skip it
@@ -288,6 +304,14 @@ class IntelligentCache {
                                   static_cast<int>(shards_.size()))];
   }
 
+  // The MissReason MatchQueries(entry.descriptor, q) would return, when
+  // the signatures (`q_dims`, `q_filters` are q's) prove that the proof
+  // fails at its top-n, dimension or filter-implication step; kNone when
+  // the proof must run.
+  static MissReason RejectBySignature(const Entry& entry,
+                                      const query::AbstractQuery& q,
+                                      const std::string& key, uint64_t q_dims,
+                                      uint64_t q_filters);
   // Unlinks `entry` from the shard maps (shard lock held by caller).
   void RemoveLocked(Shard& shard, const std::shared_ptr<Entry>& entry);
   // Evicts shard-local victims round-robin until under budget. Must be

@@ -1,5 +1,7 @@
 #include "src/dashboard/opportunity_graph.h"
 
+#include <string>
+
 #include "src/cache/intelligent_cache.h"
 
 namespace vizq::dashboard {
@@ -12,20 +14,30 @@ OpportunityGraph BuildOpportunityGraph(
   g.remote.assign(n, false);
   g.predecessor.assign(n, -1);
 
+  std::vector<std::string> keys;
+  keys.reserve(n);
+  for (const query::AbstractQuery& q : batch) keys.push_back(q.ToKeyString());
+  // answers[i * n + j]: node i's result can be post-processed into j's.
+  std::vector<char> answers(static_cast<size_t>(n) * n, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      answers[i * n + j] =
+          i != j &&
+          cache::MatchQueries(batch[i], keys[i], batch[j], keys[j]).has_value();
+    }
+  }
+
   // covered_by[j]: candidate predecessors of j, in index order.
   std::vector<std::vector<int>> covered_by(n);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // Equivalent queries: keep only lower-index -> higher-index edges.
-      bool equivalent =
-          batch[i].ToKeyString() == batch[j].ToKeyString();
-      if (equivalent && i > j) continue;
-      auto plan = cache::MatchQueries(batch[i], {}, batch[j]);
-      if (plan.has_value()) {
-        g.covers[i].push_back(j);
-        covered_by[j].push_back(i);
-      }
+      if (!answers[i * n + j]) continue;
+      // Equivalent (mutually covering) queries, such as one query twice
+      // or with its dimensions reordered: keep only the lower-index ->
+      // higher-index edge.
+      if (answers[j * n + i] && i > j) continue;
+      g.covers[i].push_back(j);
+      covered_by[j].push_back(i);
     }
   }
 

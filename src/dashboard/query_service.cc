@@ -107,7 +107,7 @@ StatusOr<ResultTable> QueryService::ExecuteRemote(const ExecContext& ctx,
     AbstractQuery unlimited = q;
     unlimited.order_by.clear();
     unlimited.limit = 0;
-    auto plan = cache::MatchQueries(unlimited, table.columns(), q);
+    auto plan = cache::MatchQueries(unlimited, q);
     if (!plan.has_value()) return table;
     auto processed = cache::ApplyMatchPlan(table, *plan, q);
     if (!processed.ok()) return table;
@@ -241,8 +241,13 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
   PhaseScope plan_phase(bctx.timeline(), Phase::kPlan);
   ScopedSpan analysis_span(bctx.StartSpan("opportunity-analysis"));
   std::vector<AbstractQuery> pending;
+  std::vector<std::string> pending_keys;
   pending.reserve(misses.size());
-  for (int i : misses) pending.push_back(batch[i]);
+  pending_keys.reserve(misses.size());
+  for (int i : misses) {
+    pending.push_back(batch[i]);
+    pending_keys.push_back(batch[i].ToKeyString());
+  }
   OpportunityGraph graph;
   if (options.analyze_batch && pending.size() > 1) {
     graph = BuildOpportunityGraph(pending);
@@ -280,6 +285,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     int group = 0;
     Status status;
     AbstractQuery sent;  // adjusted query actually executed
+    std::string sent_key;  // sent.ToKeyString()
     ResultTable result;
     bool literal_hit = false;
     double ms = 0;
@@ -292,6 +298,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     GroupOutcome outcome;
     outcome.group = gi;
     outcome.sent = cache::AdjustForReuse(groups[gi].fused, options.adjust);
+    outcome.sent_key = outcome.sent.ToKeyString();
     auto started = std::chrono::steady_clock::now();
     bool literal_hit = false;
     auto result = ExecuteRemote(bctx, outcome.sent, options, &literal_hit);
@@ -344,8 +351,8 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
     }
   }
 
-  // Collected (descriptor, result) pairs available for local resolution.
-  std::vector<std::pair<AbstractQuery, const ResultTable*>> available;
+  // Successful groups, in completion order: the results available for
+  // local resolution.
   std::vector<GroupOutcome> outcomes;
   outcomes.reserve(groups.size());
   Status first_error;
@@ -353,11 +360,11 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
   auto resolve_pending_node = [&](int p, ServedFrom how) -> bool {
     int original = misses[p];
     if (resolved[original]) return true;
-    for (const auto& [descriptor, table] : available) {
-      auto plan = cache::MatchQueries(descriptor, table->columns(),
-                                      pending[p]);
+    for (const GroupOutcome& source : outcomes) {
+      auto plan = cache::MatchQueries(source.sent, source.sent_key,
+                                      pending[p], pending_keys[p]);
       if (!plan.has_value()) continue;
-      auto processed = cache::ApplyMatchPlan(*table, *plan, pending[p]);
+      auto processed = cache::ApplyMatchPlan(source.result, *plan, pending[p]);
       if (!processed.ok()) continue;
       results[original] = *std::move(processed);
       resolved[original] = true;
@@ -384,8 +391,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
       continue;
     }
     outcomes.push_back(std::move(outcome));
-    GroupOutcome& kept = outcomes.back();
-    available.emplace_back(kept.sent, &kept.result);
+    const GroupOutcome& kept = outcomes.back();
     if (kept.literal_hit) {
       // Served from the literal cache: nothing actually hit the backend.
       --local_report.remote_queries;
@@ -451,7 +457,7 @@ StatusOr<std::vector<ResultTable>> QueryService::ExecuteBatch(
       }
     }
     PhaseScope mat_phase(bctx.timeline(), Phase::kMaterialize);
-    auto plan = cache::MatchQueries(sent, result->columns(), batch[i]);
+    auto plan = cache::MatchQueries(sent, batch[i]);
     if (plan.has_value()) {
       auto processed = cache::ApplyMatchPlan(*result, *plan, batch[i]);
       if (processed.ok()) {

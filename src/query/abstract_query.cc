@@ -1,7 +1,5 @@
 #include "src/query/abstract_query.h"
 
-#include <algorithm>
-
 #include "src/common/binary_io.h"
 
 namespace vizq::query {
@@ -27,23 +25,18 @@ std::string Measure::ToKeyString() const {
 void AbstractQuery::Canonicalize() { filters.Normalize(); }
 
 std::string AbstractQuery::ToKeyString() const {
+  // Dimensions and measures keep their order: the output columns follow
+  // it, and an exact-key cache hit returns the stored table as is. A
+  // reordered request is matched, and projected, by MatchQueries.
   std::string out = "q{src=" + data_source + ";view=" + view + ";dims=";
-  // Dimensions are semantically a set for matching purposes, but output
-  // order matters for rendering; the key sorts them.
-  std::vector<std::string> dims = dimensions;
-  std::sort(dims.begin(), dims.end());
-  for (size_t i = 0; i < dims.size(); ++i) {
+  for (size_t i = 0; i < dimensions.size(); ++i) {
     if (i > 0) out += ",";
-    out += dims[i];
+    out += dimensions[i];
   }
   out += ";aggs=";
-  std::vector<std::string> aggs;
-  aggs.reserve(measures.size());
-  for (const Measure& m : measures) aggs.push_back(m.ToKeyString());
-  std::sort(aggs.begin(), aggs.end());
-  for (size_t i = 0; i < aggs.size(); ++i) {
+  for (size_t i = 0; i < measures.size(); ++i) {
     if (i > 0) out += ",";
-    out += aggs[i];
+    out += measures[i].ToKeyString();
   }
   out += ";where=" + filters.ToKeyString();
   if (!order_by.empty()) {

@@ -60,7 +60,8 @@ struct AbstractQuery {
   void Canonicalize();
 
   // Canonical text: serves as the intelligent-cache descriptor and as a
-  // human-readable rendering of the internal query.
+  // human-readable rendering of the internal query. Equal keys mean the
+  // same output columns in the same order.
   std::string ToKeyString() const;
 
   // Output column names in order: dimensions then measure aliases.

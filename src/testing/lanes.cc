@@ -1,5 +1,6 @@
 #include "src/testing/lanes.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -285,6 +286,63 @@ void ExecutionLanes::Check(const std::string& lane, const AbstractQuery& q,
   out->push_back(LaneCheck{lane, diff.equivalent, diff.message, key});
 }
 
+void ExecutionLanes::ProbeCrowdedBucket(const AbstractQuery& q, bool must_hit,
+                                        std::vector<LaneCheck>* out) {
+  // Brute force: the full proof against every stored entry. Entries of
+  // other buckets fail with kNoCandidate, the floor for an empty bucket.
+  std::vector<cache::IntelligentCache::Snapshot> entries =
+      crowded_cache_.TakeSnapshot();
+  bool any_match = false;
+  cache::MissReason nearest = cache::MissReason::kNoCandidate;
+  for (const cache::IntelligentCache::Snapshot& s : entries) {
+    cache::MissReason reason = cache::MissReason::kNone;
+    if (cache::MatchQueries(s.descriptor, q, &reason).has_value()) {
+      any_match = true;
+    } else {
+      nearest = std::max(nearest, reason);
+    }
+  }
+
+  cache::CacheStats before = crowded_cache_.stats();
+  auto hit = crowded_cache_.LookupHit(q);
+  cache::CacheStats after = crowded_cache_.stats();
+  std::string where = " (" + std::to_string(entries.size()) + " entries)";
+  std::string problem;
+  if (hit.has_value() != any_match) {
+    problem = hit.has_value() ? "hit although no entry matches"
+                              : "missed although an entry matches";
+  } else if (!hit.has_value()) {
+    bool as_nearest = true;
+    std::string moved;
+    for (int r = 0; r < cache::kNumMissReasons; ++r) {
+      int64_t delta = after.miss_reasons[r] - before.miss_reasons[r];
+      if (delta != (r == static_cast<int>(nearest) ? 1 : 0)) as_nearest = false;
+      if (delta != 0) {
+        moved += std::string(" ") +
+                 cache::MissReasonToString(static_cast<cache::MissReason>(r)) +
+                 "+" + std::to_string(delta);
+      }
+    }
+    if (!as_nearest) {
+      problem = "miss counted as" + moved + "; the nearest reason is " +
+                cache::MissReasonToString(nearest);
+    }
+  }
+  if (problem.empty() && must_hit && !hit.has_value()) {
+    problem = "missed after the query's generalization was stored";
+  }
+  if (!problem.empty()) {
+    ++checks_run_;
+    out->push_back(
+        LaneCheck{"crowded_bucket", false, problem + where, q.ToKeyString()});
+  } else if (hit.has_value()) {
+    Check("crowded_bucket", q, ResultTable(*hit->table), out);
+  } else {
+    ++checks_run_;
+    out->push_back(LaneCheck{"crowded_bucket", true, "", q.ToKeyString()});
+  }
+}
+
 std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
                                                 uint64_t lane_seed) {
   std::vector<LaneCheck> out;
@@ -417,8 +475,10 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
     if (did) Check("injected_offby_one", q, bumped, &out);
   }
 
-  // --- intelligent-cache derived hit ---
+  // --- intelligent-cache derived hit, in a fresh cache and in the
+  // dataset's crowded one ---
   {
+    ProbeCrowdedBucket(q, /*must_hit=*/false, &out);
     AbstractQuery g = GeneralizeForDerivedHit(q, dataset_);
     StatusOr<ResultTable> stored = ExecuteTruth(g);
     if (!stored.ok()) {
@@ -438,6 +498,10 @@ std::vector<LaneCheck> ExecutionLanes::RunQuery(const AbstractQuery& q,
       } else {
         Check("derived_hit", q, ResultTable(*hit->table), &out);
       }
+      crowded_cache_.Put(g, *stored, 100.0);
+      // Stored top-n entries only serve their own key; keep some around.
+      if (q.has_limit() && direct.ok()) crowded_cache_.Put(q, *direct, 100.0);
+      ProbeCrowdedBucket(q, /*must_hit=*/true, &out);
     }
   }
 

@@ -18,6 +18,16 @@
 //                     then be answered as a (usually derived) hit,
 //                     exercising MatchQueries + ApplyMatchPlan roll-up,
 //                     residual filtering, AVG-pair and COUNTD derivations.
+//   crowded_bucket  — one IntelligentCache per dataset collects every
+//                     query's generalization and every top-n query
+//                     itself, so its one bucket holds entries that fail
+//                     the proof at each step. The query is probed before
+//                     and after its own entries are stored; each probe
+//                     must agree with a brute-force MatchQueries pass over
+//                     the cache's snapshot (hit exactly when some entry
+//                     matches, else a miss counted under the nearest
+//                     reason), a hit must match the oracle, and the
+//                     second probe must hit.
 //   literal_first / literal_replay — the query runs twice through a
 //                     literal-cache-only service; the second run must be
 //                     served from the literal cache and still be right.
@@ -65,6 +75,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/intelligent_cache.h"
 #include "src/cluster/coordinator.h"
 #include "src/dashboard/query_service.h"
 #include "src/server/frontend.h"
@@ -126,6 +137,9 @@ class ExecutionLanes {
   // Diffs `result` against the oracle and appends the verdict.
   void Check(const std::string& lane, const query::AbstractQuery& q,
              const StatusOr<ResultTable>& result, std::vector<LaneCheck>* out);
+  // One crowded_bucket probe of `q` against crowded_cache_.
+  void ProbeCrowdedBucket(const query::AbstractQuery& q, bool must_hit,
+                          std::vector<LaneCheck>* out);
 
   Dataset dataset_;
   LaneSetupOptions options_;
@@ -147,6 +161,8 @@ class ExecutionLanes {
   // cluster_batch lane: a 3-node scatter/gather coordinator hosting the
   // fuzz table under three published views.
   std::unique_ptr<cluster::ClusterCoordinator> cluster_;
+  // crowded_bucket lane: lives as long as the dataset.
+  cache::IntelligentCache crowded_cache_;
 
   std::map<std::string, OraclePair> oracle_memo_;
   int64_t checks_run_ = 0;

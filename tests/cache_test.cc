@@ -244,6 +244,127 @@ TEST(IntelligentCacheTest, ResidualFilterOnNonDimensionMisses) {
   EXPECT_FALSE(cache.Lookup(request).has_value());
 }
 
+// Minimized from fuzz_differential (crowded_bucket lane): requests that
+// differ only in the order of their dimensions or measures are answered
+// by the same entry, but each must get its own column order back.
+TEST(IntelligentCacheTest, ReorderedRequestGetsItsOwnColumnOrder) {
+  CacheTestEnv env;
+  AbstractQuery stored = QueryBuilder("tde", "sales")
+                             .Dim("product")
+                             .Dim("region")
+                             .Agg(AggFunc::kSum, "units", "total")
+                             .CountAll("n")
+                             .Build();
+  AbstractQuery reordered = QueryBuilder("tde", "sales")
+                                .Dim("region")
+                                .Dim("product")
+                                .CountAll("n")
+                                .Agg(AggFunc::kSum, "units", "total")
+                                .Build();
+  IntelligentCache cache;
+  cache.Put(stored, env.Truth(stored), 10.0);
+  auto hit = cache.LookupHit(reordered);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(ResultTable::SameUnordered(*hit->table, env.Truth(reordered)))
+      << hit->table->ToCsv();
+  hit = cache.LookupHit(stored);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->exact);
+  EXPECT_TRUE(ResultTable::SameUnordered(*hit->table, env.Truth(stored)));
+}
+
+// One bucket holding a near-miss for every step of the proof: the scan
+// must reject each (by signature or by proof) under the reason the proof
+// gives, count the nearest one, and still find a match stored last.
+TEST(IntelligentCacheTest, CrowdedBucketCountsNearestReasonAndFindsLastMatch) {
+  CacheTestEnv env;
+  AbstractQuery request = QueryBuilder("tde", "sales")
+                              .Dim("region")
+                              .Agg(AggFunc::kSum, "units", "total")
+                              .FilterIn("product", {Value("apple")})
+                              .Build();
+  std::vector<std::pair<AbstractQuery, MissReason>> near_misses = {
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .OrderBy("total", false)
+           .Limit(2)
+           .Build(),
+       MissReason::kStoredTopN},
+      {QueryBuilder("tde", "sales")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .Build(),
+       MissReason::kDimensionNotStored},
+      // Filters a column the request does not.
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .FilterIn("region", {Value("East")})
+           .Build(),
+       MissReason::kFiltersNotImplied},
+      // Filters the request's column, to a set the request leaves.
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kSum, "units", "total")
+           .FilterIn("product", {Value("fig")})
+           .Build(),
+       MissReason::kFiltersNotImplied},
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Agg(AggFunc::kSum, "units", "total")
+           .Build(),
+       MissReason::kResidualNotGrouped},
+      {QueryBuilder("tde", "sales")
+           .Dim("region")
+           .Dim("product")
+           .Agg(AggFunc::kCount, "units", "n")
+           .Build(),
+       MissReason::kMeasureNotDerivable},
+  };
+  AbstractQuery match = QueryBuilder("tde", "sales")
+                            .Dim("region")
+                            .Dim("product")
+                            .Agg(AggFunc::kSum, "units", "total")
+                            .Build();
+
+  IntelligentCache crowded;
+  IntelligentCache with_match;
+  for (const auto& [stored, expected] : near_misses) {
+    MissReason reason = MissReason::kNone;
+    EXPECT_FALSE(MatchQueries(stored, request, &reason).has_value());
+    EXPECT_EQ(reason, expected) << stored.ToKeyString();
+    // Alone in its bucket, the entry's miss is counted under its reason.
+    IntelligentCache alone;
+    alone.Put(stored, env.Truth(stored), 10.0);
+    EXPECT_FALSE(alone.LookupHit(request).has_value());
+    EXPECT_EQ(alone.stats().miss_reasons[static_cast<int>(expected)], 1)
+        << stored.ToKeyString();
+    crowded.Put(stored, env.Truth(stored), 10.0);
+    with_match.Put(stored, env.Truth(stored), 10.0);
+  }
+  with_match.Put(match, env.Truth(match), 10.0);
+
+  EXPECT_FALSE(crowded.LookupHit(request).has_value());
+  CacheStats stats = crowded.stats();
+  EXPECT_EQ(stats.misses, 1);
+  for (int i = 0; i < kNumMissReasons; ++i) {
+    MissReason r = static_cast<MissReason>(i);
+    EXPECT_EQ(stats.miss_reasons[i],
+              r == MissReason::kMeasureNotDerivable ? 1 : 0)
+        << MissReasonToString(r);
+  }
+
+  auto hit = with_match.LookupHit(request);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->exact);
+  EXPECT_TRUE(ResultTable::SameUnordered(*hit->table, env.Truth(request)));
+  EXPECT_EQ(with_match.stats().misses, 0);
+}
+
 TEST(IntelligentCacheTest, AdjustForReuseDecomposesAvg) {
   AbstractQuery q = QueryBuilder("tde", "sales")
                         .Dim("region")
@@ -260,7 +381,7 @@ TEST(IntelligentCacheTest, AdjustForReuseDecomposesAvg) {
   EXPECT_TRUE(has_sum);
   EXPECT_TRUE(has_cnt);
   // And the adjusted result answers the original.
-  auto plan = MatchQueries(adjusted, {}, q);
+  auto plan = MatchQueries(adjusted, q);
   EXPECT_TRUE(plan.has_value());
 }
 
@@ -279,8 +400,8 @@ TEST(IntelligentCacheTest, AdjustAddFilterDimensionsEnablesReuse) {
                                .Agg(AggFunc::kSum, "units", "total")
                                .FilterIn("product", {Value("apple")})
                                .Build();
-  EXPECT_TRUE(MatchQueries(adjusted, {}, q).has_value());
-  EXPECT_TRUE(MatchQueries(adjusted, {}, narrower).has_value());
+  EXPECT_TRUE(MatchQueries(adjusted, q).has_value());
+  EXPECT_TRUE(MatchQueries(adjusted, narrower).has_value());
 }
 
 TEST(IntelligentCacheTest, EvictionRespectsCapacityAndInvalidations) {
@@ -828,7 +949,7 @@ TEST(AdjustForReuseTest, CountDistinctSurvivesFilterDimensionWidening) {
   AbstractQuery adjusted = AdjustForReuse(q, options);
 
   ResultTable wide = env.Truth(adjusted);
-  auto plan = MatchQueries(adjusted, wide.columns(), q);
+  auto plan = MatchQueries(adjusted, q);
   ASSERT_TRUE(plan.has_value())
       << "widened query cannot serve the original: " << adjusted.ToKeyString();
   auto derived = ApplyMatchPlan(wide, *plan, q);

@@ -55,6 +55,17 @@ TEST(OpportunityGraphTest, EquivalentQueriesKeepOneSource) {
   EXPECT_TRUE(g.remote[0]);
   EXPECT_FALSE(g.remote[1]);
   EXPECT_EQ(g.predecessor[1], 0);
+
+  // Covering each other under different keys (dimension order) is
+  // equivalence too.
+  batch = {
+      Q({"region", "product"}, {{AggFunc::kSum, "units"}}),
+      Q({"product", "region"}, {{AggFunc::kSum, "units"}}),
+  };
+  g = BuildOpportunityGraph(batch);
+  EXPECT_TRUE(g.remote[0]);
+  EXPECT_FALSE(g.remote[1]);
+  EXPECT_EQ(g.predecessor[1], 0);
 }
 
 TEST(FusionTest, MergesProjectionsOverSameRelation) {
@@ -132,6 +143,33 @@ TEST_F(QueryServiceTest, BatchResolvesLocalsFromSources) {
   raw.analyze_batch = false;
   raw.fuse_queries = false;
   raw.adjust.decompose_avg = false;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto truth = service_.ExecuteQuery(batch[i], raw);
+    ASSERT_TRUE(truth.ok());
+    EXPECT_TRUE(ResultTable::SameUnordered((*results)[i], *truth))
+        << "query " << i << "\ngot:\n"
+        << (*results)[i].ToCsv() << "truth:\n"
+        << truth->ToCsv();
+  }
+}
+
+// Two queries of one batch that differ only in dimension order: one can
+// be computed from the other, but each keeps its own column order.
+TEST_F(QueryServiceTest, ReorderedQueriesInOneBatchKeepTheirColumnOrder) {
+  std::vector<AbstractQuery> batch = {
+      Q({"region", "product"}, {{AggFunc::kSum, "units"}}),
+      Q({"product", "region"}, {{AggFunc::kSum, "units"}}),
+  };
+  BatchReport report;
+  auto results = service_.ExecuteBatch(batch, BatchOptions(), &report);
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(report.remote_queries, 1);
+  EXPECT_EQ(report.local_resolved, 1);
+  BatchOptions raw;
+  raw.use_intelligent_cache = false;
+  raw.use_literal_cache = false;
+  raw.analyze_batch = false;
+  raw.fuse_queries = false;
   for (size_t i = 0; i < batch.size(); ++i) {
     auto truth = service_.ExecuteQuery(batch[i], raw);
     ASSERT_TRUE(truth.ok());
