@@ -142,7 +142,6 @@ std::optional<MatchPlan> MatchQueries(const AbstractQuery& stored,
     if (idx < 0) return Fail(MissReason::kDimensionNotStored, reason);
     plan.dim_columns.push_back(idx);
   }
-  plan.needs_rollup = !SameDimensionSet(stored, requested);
 
   // Filters: the request must be at least as restrictive as the stored
   // query, and residual predicates must be post-filterable (grouped cols).
@@ -155,6 +154,8 @@ std::optional<MatchPlan> MatchQueries(const AbstractQuery& stored,
       return Fail(MissReason::kResidualNotGrouped, reason);
     }
   }
+  // After the filter steps, where most proofs fail: this builds two sets.
+  plan.needs_rollup = !SameDimensionSet(stored, requested);
 
   // Measures.
   for (const Measure& m : requested.measures) {

@@ -227,13 +227,15 @@ StatusOr<std::vector<ResultTable>> Frontend::ServeDegraded(
     const std::vector<query::AbstractQuery>& batch, ServeReport* report,
     ServeOutcome* outcome, int* rung) {
   ScopedSpan span(ctx.StartSpan("frontend.degraded"));
+  // Both rungs' batches nest under frontend.degraded.
+  const ExecContext rung_ctx = ctx.WithSpan(span.get());
   dashboard::BatchOptions opts = opts_.batch;
   opts.session_id = session_id;
   opts.cache_only = true;
   opts.max_result_age_ms = opts_.stale_serve_ms;
   // Rung 1: exact entries only (fresh or bounded-stale).
   opts.cache_exact_only = true;
-  auto exact = service_->ExecuteBatch(ctx, batch, opts, &report->batch);
+  auto exact = service_->ExecuteBatch(rung_ctx, batch, opts, &report->batch);
   if (exact.ok()) {
     *outcome = MaxAge(report->batch) > 0 ? ServeOutcome::kStale
                                          : ServeOutcome::kFresh;
@@ -243,7 +245,8 @@ StatusOr<std::vector<ResultTable>> Frontend::ServeDegraded(
   }
   // Rung 2: allow subsumption roll-ups from larger cached results.
   opts.cache_exact_only = false;
-  auto derived = service_->ExecuteBatch(ctx, batch, opts, &report->batch);
+  auto derived =
+      service_->ExecuteBatch(rung_ctx, batch, opts, &report->batch);
   if (derived.ok()) {
     *outcome = AnyDerived(report->batch) ? ServeOutcome::kDegradedDerived
                : MaxAge(report->batch) > 0 ? ServeOutcome::kStale

@@ -11,7 +11,6 @@ namespace {
 std::string MetricKeyFor(LogicalKind kind) {
   switch (kind) {
     case LogicalKind::kScan: return "scan";
-    case LogicalKind::kRleIndexScan: return "rle_scan";
     case LogicalKind::kSelect: return "filter";
     case LogicalKind::kProject: return "project";
     case LogicalKind::kJoin: return "join";
@@ -29,8 +28,8 @@ std::string LabelFor(const LogicalOp& op) {
   os << LogicalKindToString(op.kind);
   switch (op.kind) {
     case LogicalKind::kScan:
-    case LogicalKind::kRleIndexScan:
       os << " " << op.table_path << " [cols=" << op.scan_columns.size();
+      if (op.run_predicate != nullptr) os << " runs";
       if (op.scan_dop > 1) os << " dop=" << op.scan_dop;
       if (op.emit_encoded) os << " encoded";
       os << "]";

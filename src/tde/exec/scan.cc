@@ -10,12 +10,11 @@ constexpr int64_t kCtxPollBatches = 4;
 
 TableScanOperator::TableScanOperator(std::shared_ptr<const Table> table,
                                      std::vector<int> column_indices,
-                                     int64_t row_begin, int64_t row_end,
+                                     std::vector<RowRange> ranges,
                                      ExecStats* stats, const ExecContext& ctx)
     : table_(std::move(table)),
       column_indices_(std::move(column_indices)),
-      row_begin_(row_begin),
-      row_end_(row_end < 0 ? table_->num_rows() : row_end),
+      ranges_(std::move(ranges)),
       stats_(stats),
       ctx_(ctx) {
   for (int ci : column_indices_) {
@@ -29,12 +28,16 @@ TableScanOperator::TableScanOperator(std::shared_ptr<const Table> table,
   }
 }
 
+TableScanOperator::TableScanOperator(std::shared_ptr<const Table> table,
+                                     std::vector<int> column_indices)
+    : TableScanOperator(table, std::move(column_indices),
+                        {RowRange{0, table->num_rows()}}) {}
+
 Status TableScanOperator::Open() {
-  cursor_ = row_begin_;
+  next_range_ = 0;
+  cursor_ = range_end_ = 0;
   batches_emitted_ = 0;
   delta_cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
-  // Morsel mode: an empty current morsel forces a claim on first Next().
-  morsel_end_ = cursor_;
   span_ = ctx_.StartSpan("op:scan(" + table_->name() + ")");
   return OkStatus();
 }
@@ -52,20 +55,24 @@ StatusOr<bool> TableScanOperator::Next(Batch* batch) {
     VIZQ_RETURN_IF_ERROR(ctx_.CheckContinue("table scan"));
   }
   ++batches_emitted_;
-  int64_t limit = row_end_;
-  if (morsels_ != nullptr) {
-    if (cursor_ >= morsel_end_) {
-      if (!morsels_->Claim(&cursor_, &morsel_end_)) return false;
+  // Move to the next non-empty range once the current one is spent; in
+  // morsel mode each claim is the next range.
+  while (cursor_ >= range_end_) {
+    if (morsels_ != nullptr) {
+      if (!morsels_->Claim(&cursor_, &range_end_)) return false;
       if (stats_ != nullptr) {
         std::lock_guard<std::mutex> lock(stats_->mu);
         ++stats_->morsels_claimed;
         stats_->used_morsel_scan = true;
       }
+    } else {
+      if (next_range_ == ranges_.size()) return false;
+      const RowRange& range = ranges_[next_range_++];
+      cursor_ = range.start;
+      range_end_ = range.start + range.count;
     }
-    limit = morsel_end_;
   }
-  if (cursor_ >= limit) return false;
-  int64_t count = std::min(kBatchRows, limit - cursor_);
+  int64_t count = std::min(kBatchRows, range_end_ - cursor_);
   *batch = schema_.NewBatch();
   int64_t encoded_rows = 0;
   for (size_t i = 0; i < column_indices_.size(); ++i) {
@@ -157,6 +164,80 @@ std::vector<int64_t> SplitRowsOnSortedPrefix(const Table& table,
   }
   offsets.push_back(n);
   return offsets;
+}
+
+StatusOr<std::vector<RowRange>> ComputeMatchingRuns(const Table& table,
+                                                    int rle_column,
+                                                    const ExprPtr& predicate) {
+  const Column& col = *table.column(rle_column);
+  if (!col.is_rle()) {
+    return FailedPrecondition("column '" + table.column_info(rle_column).name +
+                              "' is not RLE encoded");
+  }
+  const std::vector<RleRun>& runs = col.rle_runs();
+
+  // Build the IndexTable's value column: one row per run, in the column's
+  // decoded representation (dictionary tokens keep their dictionary).
+  Batch index_batch;
+  ColumnVector values(table.column_info(rle_column).type);
+  if (col.is_dictionary_string()) values.dict = col.shared_dictionary();
+  values.Reserve(static_cast<int64_t>(runs.size()));
+  for (const RleRun& run : runs) {
+    // A run of nulls carries value 0 with the null mask set on its rows.
+    bool run_is_null = col.IsNull(run.start);
+    if (run_is_null) {
+      values.AppendNull();
+    } else if (values.type.kind == TypeKind::kFloat64) {
+      double d;
+      static_assert(sizeof(d) == sizeof(run.value));
+      __builtin_memcpy(&d, &run.value, sizeof(d));
+      values.AppendDouble(d);
+    } else {
+      values.AppendInt(run.value);
+    }
+  }
+  index_batch.columns.push_back(std::move(values));
+  index_batch.num_rows = static_cast<int64_t>(runs.size());
+
+  VIZQ_ASSIGN_OR_RETURN(std::vector<int64_t> selected,
+                        EvalPredicate(*predicate, index_batch));
+  std::vector<RowRange> ranges;
+  ranges.reserve(selected.size());
+  for (int64_t run_idx : selected) {
+    ranges.push_back(RowRange{runs[run_idx].start, runs[run_idx].count});
+  }
+  return ranges;
+}
+
+std::vector<std::vector<RowRange>> SplitRanges(
+    const std::vector<RowRange>& ranges, int dop) {
+  if (dop < 1) dop = 1;
+  std::vector<std::vector<RowRange>> out(dop);
+  // Greedy least-loaded assignment keeps the per-thread row counts close,
+  // mitigating (not eliminating) the data-skew concern §4.3 raises.
+  std::vector<int64_t> load(dop, 0);
+  // Assign big ranges first.
+  std::vector<RowRange> sorted = ranges;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const RowRange& a, const RowRange& b) {
+              return a.count > b.count;
+            });
+  for (const RowRange& r : sorted) {
+    int best = 0;
+    for (int i = 1; i < dop; ++i) {
+      if (load[i] < load[best]) best = i;
+    }
+    out[best].push_back(r);
+    load[best] += r.count;
+  }
+  // Keep each thread's ranges in ascending row order for locality.
+  for (auto& group : out) {
+    std::sort(group.begin(), group.end(),
+              [](const RowRange& a, const RowRange& b) {
+                return a.start < b.start;
+              });
+  }
+  return out;
 }
 
 }  // namespace vizq::tde

@@ -1,8 +1,12 @@
-// TableScan and FractionTable (§4.2.1): scans a stored table, optionally
-// restricted to a row range. The parallelizer partitions a table into N
-// fractions and gives each Exchange input a FractionTable-style scan over
-// its own range — random (contiguous) partitioning — or range partitioning
-// aligned to group boundaries when the sort order allows (§4.2.3).
+// TableScan and FractionTable (§4.2.1): scans a list of row ranges of a
+// stored table. The list is the whole table, one fraction of it, or the
+// runs of an RLE column that satisfy a filter (RLE range skipping, §4.3:
+// "range skipping expressed as a join in the query plan"). The
+// parallelizer partitions a table into N fractions and gives each
+// Exchange input a FractionTable-style scan over its own ranges — random
+// (contiguous) partitioning, range partitioning aligned to group
+// boundaries when the sort order allows (§4.2.3), or a balanced share of
+// the matching runs — or a shared morsel queue (§10).
 
 #ifndef VIZQUERY_TDE_EXEC_SCAN_H_
 #define VIZQUERY_TDE_EXEC_SCAN_H_
@@ -16,21 +20,31 @@
 
 namespace vizq::tde {
 
+// A contiguous row range [start, start + count) of a table.
+struct RowRange {
+  int64_t start = 0;
+  int64_t count = 0;
+};
+
 class TableScanOperator : public Operator {
  public:
-  // Scans rows [row_begin, row_end) of `table`, producing the columns in
-  // `column_indices` (in that order). row_end == -1 means "to the end".
-  // The scan polls `ctx` every few batches, so a deadline or cancellation
-  // actually stops the work mid-scan.
+  // Scans `ranges` of `table` in list order, producing the columns in
+  // `column_indices` (in that order). Empty ranges are skipped, a batch
+  // never spans two ranges, and an empty list scans no rows. The scan
+  // polls `ctx` every few batches, so a deadline or cancellation actually
+  // stops the work mid-scan.
   TableScanOperator(std::shared_ptr<const Table> table,
-                    std::vector<int> column_indices, int64_t row_begin = 0,
-                    int64_t row_end = -1, ExecStats* stats = nullptr,
+                    std::vector<int> column_indices,
+                    std::vector<RowRange> ranges, ExecStats* stats = nullptr,
                     const ExecContext& ctx = ExecContext::Background());
+  // Scans every row of `table`.
+  TableScanOperator(std::shared_ptr<const Table> table,
+                    std::vector<int> column_indices);
 
-  // Morsel mode (§10): instead of the fixed [row_begin, row_end) range,
-  // the scan claims row-range morsels from `queue` until it is drained.
-  // Sibling scans of one Exchange share the queue, so work distributes
-  // dynamically. Overrides the constructor's range.
+  // Morsel mode (§10): instead of the constructor's ranges, the scan
+  // claims row-range morsels from `queue` until it is drained. Sibling
+  // scans of one Exchange share the queue, so work distributes
+  // dynamically.
   void SetMorselQueue(MorselQueuePtr queue) { morsels_ = std::move(queue); }
 
   // Encoded emission (DESIGN.md §11): kRle columns are emitted as
@@ -47,10 +61,10 @@ class TableScanOperator : public Operator {
  private:
   std::shared_ptr<const Table> table_;
   std::vector<int> column_indices_;
-  int64_t row_begin_;
-  int64_t row_end_;
-  int64_t cursor_ = 0;
-  int64_t morsel_end_ = 0;  // end of the currently claimed morsel
+  std::vector<RowRange> ranges_;
+  size_t next_range_ = 0;  // index of the range after the current one
+  int64_t cursor_ = 0;     // next row to emit
+  int64_t range_end_ = 0;  // end of the current range or claimed morsel
   MorselQueuePtr morsels_;
   bool emit_encoded_ = false;
   // Per-output-column resume cursors so kDelta scans are O(n), not O(n^2).
@@ -72,6 +86,21 @@ std::vector<int64_t> SplitRows(int64_t num_rows, int dop);
 // one fraction. Returns dop'+1 offsets with dop' <= dop.
 std::vector<int64_t> SplitRowsOnSortedPrefix(const Table& table,
                                              int prefix_len, int dop);
+
+// RLE range skipping (§4.3): evaluates `predicate` once per run of the RLE
+// column `rle_column` of `table` — the filter runs over the run table (the
+// paper's IndexTable), typically a few rows, instead of over every tuple.
+// `predicate` must be bound against a single-column schema holding that
+// column. Returns the row ranges of the runs whose value satisfies the
+// predicate, in row order. Runs whose value is null never match.
+StatusOr<std::vector<RowRange>> ComputeMatchingRuns(const Table& table,
+                                                    int rle_column,
+                                                    const ExprPtr& predicate);
+
+// Splits `ranges` into `dop` lists balanced by total row count, each in row
+// order. Groups are not aligned: one sort-key group may span two lists.
+std::vector<std::vector<RowRange>> SplitRanges(
+    const std::vector<RowRange>& ranges, int dop);
 
 }  // namespace vizq::tde
 

@@ -25,7 +25,6 @@ Status DeriveOutput(LogicalOp* op) {
   op->output.clear();
   switch (op->kind) {
     case LogicalKind::kScan:
-    case LogicalKind::kRleIndexScan:
       for (int ci : op->scan_columns) {
         const ColumnInfo& info = op->table->column_info(ci);
         op->output.push_back(OutputColumn{info.name, info.type});
@@ -94,9 +93,6 @@ Status BindNode(const LogicalOpPtr& op, const Database& db) {
     case LogicalKind::kScan:
       VIZQ_RETURN_IF_ERROR(BindScan(op.get(), db));
       break;
-    case LogicalKind::kRleIndexScan:
-      // Produced only by the optimizer from an already-bound Select+Scan.
-      return Internal("RleIndexScan cannot appear in an unbound plan");
     case LogicalKind::kSelect: {
       BatchSchema child_schema = op->children[0]->OutputBatchSchema();
       VIZQ_ASSIGN_OR_RETURN(op->predicate,

@@ -13,7 +13,6 @@ const char* LogicalKindToString(LogicalKind k) {
     case LogicalKind::kTopN: return "TopN";
     case LogicalKind::kDistinct: return "Distinct";
     case LogicalKind::kExchange: return "Exchange";
-    case LogicalKind::kRleIndexScan: return "RleIndexScan";
   }
   return "?";
 }
@@ -48,7 +47,6 @@ std::string LogicalOp::ToString(int indent) const {
   std::string out = pad + LogicalKindToString(kind);
   switch (kind) {
     case LogicalKind::kScan:
-    case LogicalKind::kRleIndexScan:
       out += " " + table_path;
       if (scan_dop > 1) {
         out += " dop=" + std::to_string(scan_dop);
@@ -64,7 +62,7 @@ std::string LogicalOp::ToString(int indent) const {
             break;
         }
       }
-      if (kind == LogicalKind::kRleIndexScan && run_predicate != nullptr) {
+      if (run_predicate != nullptr) {
         out += " runs[" + run_predicate->ToString() + "]";
       }
       if (!scan_columns.empty()) {

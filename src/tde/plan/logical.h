@@ -3,8 +3,9 @@
 // TQL is "a logical tree style language" with the classic operators:
 // TableScan, Select, Project, Join, Aggregate, Order, TopN (plus Distinct,
 // which the compiler rewrites into a GROUP BY). The parallelizer adds
-// Exchange nodes and aggregate phases; the optimizer may replace a
-// Select+Scan pair with an RleIndexScan (§4.3).
+// Exchange nodes and aggregate phases; the optimizer may fold a Select's
+// conjuncts on an RLE column into its Scan as a run predicate, so the Scan
+// reads only the matching runs (a ranged scan, §4.3).
 //
 // Trees are built unbound (column names as strings), then bound against a
 // database (tables resolved, expressions type-checked, output schemas
@@ -21,7 +22,6 @@
 #include "src/tde/exec/aggregate.h"
 #include "src/tde/exec/expression.h"
 #include "src/tde/exec/join.h"
-#include "src/tde/exec/rle_index.h"
 #include "src/tde/storage/database.h"
 
 namespace vizq::tde {
@@ -36,7 +36,6 @@ enum class LogicalKind : uint8_t {
   kTopN,
   kDistinct,       // rewritten to kAggregate by the compiler
   kExchange,       // inserted by the parallelizer
-  kRleIndexScan,   // produced by the RLE range-skipping rewrite
 };
 
 const char* LogicalKindToString(LogicalKind k);
@@ -81,7 +80,7 @@ struct LogicalOp {
   LogicalKind kind = LogicalKind::kScan;
   std::vector<LogicalOpPtr> children;
 
-  // --- kScan / kRleIndexScan ---
+  // --- kScan ---
   std::string table_path;
   std::shared_ptr<const Table> table;  // resolved at bind time
   std::vector<int> scan_columns;       // table column indices produced
@@ -90,7 +89,8 @@ struct LogicalOp {
   PartitionKind partition = PartitionKind::kNone;
   int range_prefix_len = 0;  // for kRangeOnSortPrefix
   int64_t morsel_rows = 0;   // for kMorsel: rows per claimed morsel
-  // kRleIndexScan only:
+  // Ranged scan (RLE range skipping, set by the optimizer): the scan reads
+  // only the runs of `rle_column` that satisfy `run_predicate`.
   int rle_column = -1;        // table column index the runs belong to
   ExprPtr run_predicate;      // bound against a 1-column schema of it
   // Encoding-aware execution (DESIGN.md §11), set by DecideEncodedExec:

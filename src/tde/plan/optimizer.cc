@@ -368,10 +368,6 @@ StatusOr<std::vector<int>> PruneNode(LogicalOpPtr* node,
       VIZQ_RETURN_IF_ERROR(DeriveOutput(op));
       return mapping;
     }
-    case LogicalKind::kRleIndexScan:
-      // Already produced by a later pass in other configurations; prune is
-      // run before the RLE rewrite, so treat as opaque.
-      return identity();
     case LogicalKind::kSelect: {
       std::vector<bool> child_req = required;
       std::vector<int> refs;
@@ -571,14 +567,21 @@ StatusOr<std::vector<int>> PruneNode(LogicalOpPtr* node,
   return identity();
 }
 
-// --- RLE index rewrite ---
+// --- RLE range skipping (§4.3) ---
 
+// kAuto applies range skipping when runs * kRleAutoRunFactor <= rows.
+constexpr int64_t kRleAutoRunFactor = 8;
+
+// Folds a Select's conjuncts on one RLE column of the Scan below it into
+// that Scan's run predicate, making it a ranged scan.
 StatusOr<bool> TryRleRewrite(LogicalOpPtr* node,
                              const OptimizerOptions& options) {
   LogicalOpPtr select = *node;
   if (select->kind != LogicalKind::kSelect) return false;
   LogicalOpPtr scan = select->children[0];
-  if (scan->kind != LogicalKind::kScan) return false;
+  if (scan->kind != LogicalKind::kScan || scan->run_predicate != nullptr) {
+    return false;
+  }
 
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(select->predicate, &conjuncts);
@@ -606,7 +609,7 @@ StatusOr<bool> TryRleRewrite(LogicalOpPtr* node,
             break;
           case OptimizerOptions::RleIndexMode::kAuto:
             apply = static_cast<int64_t>(col.rle_runs().size()) *
-                        options.rle_auto_run_factor <=
+                        kRleAutoRunFactor <=
                     col.size();
             break;
         }
@@ -624,30 +627,20 @@ StatusOr<bool> TryRleRewrite(LogicalOpPtr* node,
   }
   if (chosen_output_col < 0 || run_conjuncts.empty()) return false;
 
-  auto rle = std::make_shared<LogicalOp>();
-  rle->kind = LogicalKind::kRleIndexScan;
-  rle->table_path = scan->table_path;
-  rle->table = scan->table;
-  rle->scan_columns = scan->scan_columns;
-  rle->rle_column = scan->scan_columns[chosen_output_col];
-  rle->run_predicate = CombineConjuncts(run_conjuncts);
-  rle->bound = true;
-  VIZQ_RETURN_IF_ERROR(DeriveOutput(rle.get()));
-
+  scan->rle_column = scan->scan_columns[chosen_output_col];
+  scan->run_predicate = CombineConjuncts(run_conjuncts);
   if (rest.empty()) {
-    *node = rle;
+    *node = scan;
   } else {
     select->predicate = CombineConjuncts(rest);
-    select->children[0] = rle;
-    VIZQ_RETURN_IF_ERROR(DeriveOutput(select.get()));
   }
   return true;
 }
 
-Status RleNode(LogicalOpPtr* node, const OptimizerOptions& options) {
+Status RleIndexPass(LogicalOpPtr* node, const OptimizerOptions& options) {
   VIZQ_RETURN_IF_ERROR(TryRleRewrite(node, options).status());
   for (LogicalOpPtr& c : (*node)->children) {
-    VIZQ_RETURN_IF_ERROR(RleNode(&c, options));
+    VIZQ_RETURN_IF_ERROR(RleIndexPass(&c, options));
   }
   return OkStatus();
 }
@@ -684,8 +677,10 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     cand.selects.push_back(cur);
     cur = cur->children.empty() ? nullptr : cur->children[0].get();
   }
+  // A ranged scan is not a candidate: range skipping takes precedence over
+  // the encoded path (DESIGN.md §11).
   if (cur == nullptr || cur->kind != LogicalKind::kScan ||
-      cur->table == nullptr) {
+      cur->table == nullptr || cur->run_predicate != nullptr) {
     return cand;
   }
   cand.scan = cur;
@@ -859,13 +854,6 @@ Status SelectPushdownPass(LogicalOpPtr* root) { return PushdownNode(root); }
 Status ColumnPruningPass(LogicalOpPtr* root, bool enable_join_culling) {
   std::vector<bool> all((*root)->output.size(), true);
   return PruneNode(root, all, false, enable_join_culling).status();
-}
-
-Status RleIndexPass(LogicalOpPtr* root, const OptimizerOptions& options) {
-  if (options.rle_index == OptimizerOptions::RleIndexMode::kOff) {
-    return OkStatus();
-  }
-  return RleNode(root, options);
 }
 
 Status StreamingAggPass(LogicalOpPtr* root) { return StreamingNode(root); }

@@ -25,8 +25,6 @@ struct OptimizerOptions {
   // kForce always applies it when structurally possible; kOff never.
   enum class RleIndexMode : uint8_t { kOff, kAuto, kForce };
   RleIndexMode rle_index = RleIndexMode::kAuto;
-  // kAuto threshold: apply when runs * kAutoRunFactor <= rows.
-  int64_t rle_auto_run_factor = 8;
 
   // Encoding-aware execution (DESIGN.md §11): run the Scan→Filter→Aggregate
   // hot path on compressed columns (run-encoded batches, per-token /
@@ -58,7 +56,6 @@ Status OptimizePlan(LogicalOpPtr* root, const OptimizerOptions& options);
 Status FoldConstantsPass(LogicalOpPtr* root);
 Status SelectPushdownPass(LogicalOpPtr* root);
 Status ColumnPruningPass(LogicalOpPtr* root, bool enable_join_culling);
-Status RleIndexPass(LogicalOpPtr* root, const OptimizerOptions& options);
 Status StreamingAggPass(LogicalOpPtr* root);
 Status OrderRemovalPass(LogicalOpPtr* root);
 

@@ -145,29 +145,26 @@ StatusOr<int> Par(LogicalOpPtr* node, Ctx& ctx) {
   LogicalOpPtr op = *node;
   switch (op->kind) {
     case LogicalKind::kScan: {
-      int dop = DecideDop(op->table->num_rows(), ctx);
+      // A ranged scan's matching-row count is unknown until execution;
+      // assume the rewrite kept a meaningful fraction of the table. §4.3's
+      // caveat — the index join "may also reduce the degree of
+      // parallelism" — shows up here: fewer surviving rows means fewer,
+      // potentially skewed fractions.
+      bool ranged = op->run_predicate != nullptr;
+      int64_t rows = op->table->num_rows();
+      int dop = DecideDop(ranged ? rows / 4 : rows, ctx);
       op->scan_dop = dop;
       if (dop <= 1) {
         op->partition = PartitionKind::kNone;
-      } else if (ctx.opts.enable_morsel) {
+      } else if (ctx.opts.enable_morsel && !ranged) {
         // Dynamic morsels by default; ParAggregate may still override to
         // kRangeOnSortPrefix, which needs static group-aligned fractions.
+        // A ranged scan's fractions are balanced shares of its runs.
         op->partition = PartitionKind::kMorsel;
         op->morsel_rows = ctx.opts.morsel_rows;
       } else {
         op->partition = PartitionKind::kRandom;
       }
-      return dop;
-    }
-    case LogicalKind::kRleIndexScan: {
-      // Matching-row count is unknown until execution; assume the rewrite
-      // kept a meaningful fraction of the table. §4.3's caveat — the index
-      // join "may also reduce the degree of parallelism" — shows up here:
-      // fewer surviving rows means fewer, potentially skewed fractions.
-      int64_t guess = op->table->num_rows() / 4;
-      int dop = DecideDop(guess, ctx);
-      op->scan_dop = dop;
-      op->partition = dop > 1 ? PartitionKind::kRandom : PartitionKind::kNone;
       return dop;
     }
     case LogicalKind::kSelect:

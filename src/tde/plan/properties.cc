@@ -49,7 +49,9 @@ PlanProperties DeriveProperties(const LogicalOp& op) {
   PlanProperties props;
   switch (op.kind) {
     case LogicalKind::kScan: {
-      props.estimated_rows = static_cast<double>(op.table->num_rows());
+      // A ranged scan's matching-row count is unknown until execution.
+      props.estimated_rows = static_cast<double>(op.table->num_rows()) *
+                             (op.run_predicate != nullptr ? 0.1 : 1.0);
       // Map the table's sort columns through the scan's projection while
       // they stay contiguous from the front.
       for (int sc : op.table->sort_columns()) {
@@ -62,17 +64,6 @@ PlanProperties DeriveProperties(const LogicalOp& op) {
       // within a fraction order holds; sortedness here describes the
       // serial stream, and the parallelizer/Exchange clears it when it
       // applies (§4.2.4).
-      break;
-    }
-    case LogicalKind::kRleIndexScan: {
-      props.estimated_rows =
-          static_cast<double>(op.table->num_rows()) * 0.1;
-      for (int sc : op.table->sort_columns()) {
-        auto it = std::find(op.scan_columns.begin(), op.scan_columns.end(), sc);
-        if (it == op.scan_columns.end()) break;
-        props.sorted_by.push_back(
-            static_cast<int>(it - op.scan_columns.begin()));
-      }
       break;
     }
     case LogicalKind::kSelect: {
@@ -180,11 +171,14 @@ bool GroupingSatisfiedBySort(const LogicalOp& aggregate,
 namespace {
 
 // Maps output column `idx` of `op` down to (scan node, table column index),
-// passing only through flow operators. Returns nullptr when blocked.
+// passing only through flow operators. Returns nullptr when blocked. A
+// ranged scan blocks too: its fractions are balanced shares of the matching
+// runs, not group-aligned slices, so range partitioning cannot apply.
 LogicalOp* TraceColumnToScan(const LogicalOp& op, int idx, int* table_col) {
   switch (op.kind) {
     case LogicalKind::kScan:
-      if (idx < 0 || idx >= static_cast<int>(op.scan_columns.size())) {
+      if (op.run_predicate != nullptr || idx < 0 ||
+          idx >= static_cast<int>(op.scan_columns.size())) {
         return nullptr;
       }
       *table_col = op.scan_columns[idx];

@@ -33,8 +33,9 @@ bool GroupingSatisfiedBySort(const LogicalOp& aggregate,
 
 // If every group-by expression of `aggregate` is a pure column reference
 // that traces down through flow operators (Select / pass-through Project /
-// left side of a join) to columns of a single Scan, returns that scan node
-// and fills `scan_column_indices` with the mapped table column indices.
+// left side of a join) to columns of a single Scan that is not a ranged
+// scan, returns that scan node and fills `scan_column_indices` with the
+// mapped table column indices.
 // Used by the parallelizer's range-partitioning rule (§4.2.3): the
 // Aggregate pushes its partitioning requirement down to the TableScan.
 LogicalOp* TraceGroupColumnsToScan(const LogicalOp& aggregate,

@@ -16,47 +16,52 @@ StatusOr<OperatorPtr> Translator::Translate(const LogicalOpPtr& plan) {
   // structure is owned by the returned tree and freed with it — not by
   // this translator's destructor on the query's response path.
   builds_.clear();
-  scan_offsets_.clear();
-  rle_groups_.clear();
+  fraction_ranges_.clear();
   morsel_queues_.clear();
   return root;
 }
 
-StatusOr<const std::vector<int64_t>*> Translator::ScanOffsets(
-    const LogicalOp& scan) {
-  auto it = scan_offsets_.find(&scan);
-  if (it != scan_offsets_.end()) return &it->second;
-  std::vector<int64_t> offsets;
-  if (scan.partition == PartitionKind::kRangeOnSortPrefix) {
-    offsets = SplitRowsOnSortedPrefix(*scan.table, scan.range_prefix_len,
-                                      scan.scan_dop);
-  } else {
-    offsets = SplitRows(scan.table->num_rows(), scan.scan_dop);
+StatusOr<std::vector<RowRange>> Translator::ScanRanges(const LogicalOp& scan) {
+  if (scan.run_predicate == nullptr) {
+    return std::vector<RowRange>{RowRange{0, scan.table->num_rows()}};
   }
-  auto [inserted, ok] = scan_offsets_.emplace(&scan, std::move(offsets));
-  return &inserted->second;
+  if (stats_ != nullptr) stats_->used_rle_index = true;
+  return ComputeMatchingRuns(*scan.table, scan.rle_column, scan.run_predicate);
 }
 
-StatusOr<const std::vector<std::vector<RowRange>>*> Translator::RleGroups(
-    const LogicalOp& scan) {
-  auto it = rle_groups_.find(&scan);
-  if (it != rle_groups_.end()) return &it->second;
-  VIZQ_ASSIGN_OR_RETURN(
-      std::vector<RowRange> ranges,
-      ComputeMatchingRuns(*scan.table, scan.rle_column, scan.run_predicate));
-  std::vector<std::vector<RowRange>> groups =
-      SplitRanges(ranges, std::max(1, scan.scan_dop));
-  if (stats_ != nullptr) stats_->used_rle_index = true;
-  auto [inserted, ok] = rle_groups_.emplace(&scan, std::move(groups));
-  return &inserted->second;
+StatusOr<const std::vector<std::vector<RowRange>>*>
+Translator::FractionRanges(const LogicalOp& scan) {
+  auto it = fraction_ranges_.find(&scan);
+  if (it != fraction_ranges_.end()) return &it->second;
+  std::vector<std::vector<RowRange>> lists;
+  if (scan.run_predicate != nullptr) {
+    VIZQ_ASSIGN_OR_RETURN(std::vector<RowRange> runs, ScanRanges(scan));
+    lists = SplitRanges(runs, scan.scan_dop);
+  } else {
+    std::vector<int64_t> offsets;
+    if (scan.partition == PartitionKind::kRangeOnSortPrefix) {
+      offsets = SplitRowsOnSortedPrefix(*scan.table, scan.range_prefix_len,
+                                        scan.scan_dop);
+      if (stats_ != nullptr) stats_->used_range_partition = true;
+    } else {
+      offsets = SplitRows(scan.table->num_rows(), scan.scan_dop);
+    }
+    for (size_t f = 0; f + 1 < offsets.size(); ++f) {
+      lists.push_back({RowRange{offsets[f], offsets[f + 1] - offsets[f]}});
+    }
+  }
+  return &fraction_ranges_.emplace(&scan, std::move(lists)).first->second;
 }
 
 StatusOr<OperatorPtr> Translator::TranslateScan(const LogicalOp& op,
                                                 int fraction) {
-  if (op.partition == PartitionKind::kMorsel && op.scan_dop > 1 &&
-      fraction >= 0) {
-    // Every fraction scans the full range but only materializes rows of
-    // the morsels it claims from the scan node's shared queue.
+  std::vector<RowRange> ranges;
+  MorselQueuePtr morsels;
+  if (op.scan_dop <= 1 || fraction < 0) {
+    VIZQ_ASSIGN_OR_RETURN(ranges, ScanRanges(op));
+  } else if (op.partition == PartitionKind::kMorsel) {
+    // Every fraction claims the row ranges it scans from the scan node's
+    // shared queue.
     auto it = morsel_queues_.find(&op);
     if (it == morsel_queues_.end()) {
       int64_t rows = op.morsel_rows > 0 ? op.morsel_rows : kDefaultMorselRows;
@@ -65,61 +70,23 @@ StatusOr<OperatorPtr> Translator::TranslateScan(const LogicalOp& op,
                                  op.table->num_rows(), rows))
                .first;
     }
+    morsels = it->second;
     if (stats_ != nullptr) {
       std::lock_guard<std::mutex> lock(stats_->mu);
       stats_->used_morsel_scan = true;
     }
-    auto scan = std::make_unique<TableScanOperator>(
-        op.table, op.scan_columns, /*row_begin=*/0, /*row_end=*/-1, stats_,
-        ctx_);
-    scan->SetMorselQueue(it->second);
-    scan->SetEmitEncoded(op.emit_encoded);
-    return OperatorPtr(std::move(scan));
+  } else {
+    VIZQ_ASSIGN_OR_RETURN(const std::vector<std::vector<RowRange>>* lists,
+                          FractionRanges(op));
+    // Range partitioning can produce fewer fractions than requested;
+    // surplus fractions scan nothing.
+    if (fraction < static_cast<int>(lists->size())) ranges = (*lists)[fraction];
   }
-  int64_t begin = 0;
-  int64_t end = -1;
-  if (op.scan_dop > 1 && fraction >= 0) {
-    VIZQ_ASSIGN_OR_RETURN(const std::vector<int64_t>* offsets,
-                          ScanOffsets(op));
-    if (fraction + 1 >= static_cast<int>(offsets->size())) {
-      // Range partitioning can produce fewer boundaries than requested;
-      // surplus fractions scan nothing.
-      begin = end = op.table->num_rows();
-    } else {
-      begin = (*offsets)[fraction];
-      end = (*offsets)[fraction + 1];
-    }
-    if (stats_ != nullptr &&
-        op.partition == PartitionKind::kRangeOnSortPrefix) {
-      stats_->used_range_partition = true;
-    }
-  }
-  auto scan = std::make_unique<TableScanOperator>(op.table, op.scan_columns,
-                                                  begin, end, stats_, ctx_);
+  auto scan = std::make_unique<TableScanOperator>(
+      op.table, op.scan_columns, std::move(ranges), stats_, ctx_);
+  if (morsels != nullptr) scan->SetMorselQueue(std::move(morsels));
   scan->SetEmitEncoded(op.emit_encoded);
   return OperatorPtr(std::move(scan));
-}
-
-StatusOr<OperatorPtr> Translator::TranslateRleScan(const LogicalOp& op,
-                                                   int fraction) {
-  VIZQ_ASSIGN_OR_RETURN(const std::vector<std::vector<RowRange>>* groups,
-                        RleGroups(op));
-  std::vector<RowRange> ranges;
-  if (op.scan_dop > 1 && fraction >= 0) {
-    if (fraction < static_cast<int>(groups->size())) {
-      ranges = (*groups)[fraction];
-    }
-  } else {
-    for (const auto& g : *groups) {
-      ranges.insert(ranges.end(), g.begin(), g.end());
-    }
-    std::sort(ranges.begin(), ranges.end(),
-              [](const RowRange& a, const RowRange& b) {
-                return a.start < b.start;
-              });
-  }
-  return OperatorPtr(std::make_unique<RleIndexScanOperator>(
-      op.table, op.scan_columns, std::move(ranges), stats_));
 }
 
 StatusOr<OperatorPtr> Translator::TranslateExchange(const LogicalOp& op) {
@@ -171,8 +138,6 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
   switch (op.kind) {
     case LogicalKind::kScan:
       return TranslateScan(op, fraction);
-    case LogicalKind::kRleIndexScan:
-      return TranslateRleScan(op, fraction);
     case LogicalKind::kSelect: {
       VIZQ_ASSIGN_OR_RETURN(OperatorPtr child,
                             TranslateNode(*op.children[0], fraction));

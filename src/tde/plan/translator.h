@@ -1,12 +1,14 @@
 // Physical translation: turns an optimized (possibly parallelized) logical
 // plan into a Volcano operator tree.
 //
-// Exchange nodes are expanded by translating their child subtree once per
-// fraction; the fraction's partitioned scan is restricted to its row range
-// (random partitioning), its group-aligned range (range partitioning,
-// §4.2.3), or its share of the RLE IndexTable's surviving runs (§4.3).
-// Join build sides are translated once and shared across fractions through
-// SharedBuildState (§4.2.2).
+// Every scan becomes a TableScanOperator over a list of row ranges: the
+// whole table, or for a ranged scan the runs that satisfy its run
+// predicate (§4.3). Exchange nodes are expanded by translating their child
+// subtree once per fraction; the fraction's partitioned scan is restricted
+// to its row range (random partitioning), its group-aligned range (range
+// partitioning, §4.2.3), its share of the matching runs, or the morsels it
+// claims from a shared queue (§10). Join build sides are translated once
+// and shared across fractions through SharedBuildState (§4.2.2).
 
 #ifndef VIZQUERY_TDE_PLAN_TRANSLATOR_H_
 #define VIZQUERY_TDE_PLAN_TRANSLATOR_H_
@@ -17,7 +19,7 @@
 #include "src/common/exec_context.h"
 #include "src/common/scheduler.h"
 #include "src/tde/exec/analyze.h"
-#include "src/tde/exec/morsel.h"
+#include "src/tde/exec/scan.h"
 #include "src/tde/plan/logical.h"
 
 namespace vizq::tde {
@@ -55,12 +57,13 @@ class Translator {
   StatusOr<OperatorPtr> TranslateNode(const LogicalOp& op, int fraction);
   StatusOr<OperatorPtr> TranslateNodeImpl(const LogicalOp& op, int fraction);
   StatusOr<OperatorPtr> TranslateScan(const LogicalOp& op, int fraction);
-  StatusOr<OperatorPtr> TranslateRleScan(const LogicalOp& op, int fraction);
   StatusOr<OperatorPtr> TranslateExchange(const LogicalOp& op);
 
-  // Fraction boundaries / range groups, computed once per scan node.
-  StatusOr<const std::vector<int64_t>*> ScanOffsets(const LogicalOp& scan);
-  StatusOr<const std::vector<std::vector<RowRange>>*> RleGroups(
+  // The row ranges `scan` reads: all its rows, or for a ranged scan its
+  // matching runs.
+  StatusOr<std::vector<RowRange>> ScanRanges(const LogicalOp& scan);
+  // Per-fraction range lists of a partitioned scan, computed once per node.
+  StatusOr<const std::vector<std::vector<RowRange>>*> FractionRanges(
       const LogicalOp& scan);
 
   ExecStats* stats_;
@@ -70,9 +73,8 @@ class Translator {
   PlanNodeStats* analyze_parent_ = nullptr;  // current parent during recursion
   std::unordered_map<const LogicalOp*, std::shared_ptr<SharedBuildState>>
       builds_;
-  std::unordered_map<const LogicalOp*, std::vector<int64_t>> scan_offsets_;
   std::unordered_map<const LogicalOp*, std::vector<std::vector<RowRange>>>
-      rle_groups_;
+      fraction_ranges_;
   // One shared morsel queue per kMorsel scan node; all fractions of its
   // Exchange claim row ranges from the same queue.
   std::unordered_map<const LogicalOp*, MorselQueuePtr> morsel_queues_;

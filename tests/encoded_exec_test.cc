@@ -157,7 +157,7 @@ TEST(EncodedExecTest, PerRunFilterOnRleColumn) {
   TdeEngine engine(MakeEncodedDb(3000));
   // Selective: keeps 2 of 5 run values; whole runs pass or fail at once.
   // The RLE IndexTable rewrite would claim this predicate first (turning
-  // the scan into kRleIndexScan, a different valid plan); disable it so
+  // the scan into a ranged scan, a different valid plan); disable it so
   // the per-run encoded filter is what executes.
   const std::string tql =
       "(aggregate ((k k)) ((n count*) (sf sum f)) "

@@ -102,26 +102,32 @@ TEST(ExecContextTdeTest, ExpiredDeadlineStopsScan) {
 TEST(ExecContextTdeTest, CancellationStopsScanMidStream) {
   auto db = vizq::testing::MakeTestDatabase(16384);
   auto table = *db->GetTable("sales");
-  ExecContext ctx;
-  tde::TableScanOperator scan(table, {0, 2}, 0, -1, nullptr, ctx);
-  ASSERT_TRUE(scan.Open().ok());
-  tde::Batch batch;
-  auto first = scan.Next(&batch);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(*first);
-  ctx.Cancel();
-  // The poll fires within the next few batches.
-  Status err = OkStatus();
-  for (int i = 0; i < 8; ++i) {
-    auto next = scan.Next(&batch);
-    if (!next.ok()) {
-      err = next.status();
-      break;
+  // The whole table, and a ranged scan (RLE range skipping) over
+  // non-adjacent ranges.
+  const std::vector<std::vector<tde::RowRange>> inputs = {
+      {{0, table->num_rows()}}, {{0, 4096}, {8192, 4096}}};
+  for (const std::vector<tde::RowRange>& ranges : inputs) {
+    ExecContext ctx;
+    tde::TableScanOperator scan(table, {0, 2}, ranges, nullptr, ctx);
+    ASSERT_TRUE(scan.Open().ok());
+    tde::Batch batch;
+    auto first = scan.Next(&batch);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(*first);
+    ctx.Cancel();
+    // The poll fires within the next few batches.
+    Status err = OkStatus();
+    for (int i = 0; i < 8; ++i) {
+      auto next = scan.Next(&batch);
+      if (!next.ok()) {
+        err = next.status();
+        break;
+      }
+      ASSERT_TRUE(*next) << "scan drained before the cancellation poll fired";
     }
-    ASSERT_TRUE(*next) << "scan drained before the cancellation poll fired";
+    EXPECT_EQ(err.code(), StatusCode::kAborted) << ranges.size() << " ranges";
+    EXPECT_TRUE(scan.Close().ok());
   }
-  EXPECT_EQ(err.code(), StatusCode::kAborted);
-  EXPECT_TRUE(scan.Close().ok());
 }
 
 TEST(ExecContextTdeTest, EngineRecordsOperatorSpansAndMetrics) {

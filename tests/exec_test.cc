@@ -12,7 +12,6 @@
 #include "src/tde/exec/exchange.h"
 #include "src/tde/exec/expression.h"
 #include "src/tde/exec/join.h"
-#include "src/tde/exec/rle_index.h"
 #include "src/tde/exec/scan.h"
 #include "src/tde/exec/sort.h"
 #include "tests/test_util.h"
@@ -169,7 +168,8 @@ TEST(ExchangeTest, MergesAllInputsThreaded) {
   std::vector<OperatorPtr> inputs;
   for (int f = 0; f < 4; ++f) {
     inputs.push_back(std::make_unique<TableScanOperator>(
-        table, std::vector<int>{2}, offsets[f], offsets[f + 1]));
+        table, std::vector<int>{2},
+        std::vector<RowRange>{{offsets[f], offsets[f + 1] - offsets[f]}}));
   }
   ExchangeOperator exchange(std::move(inputs));
   int64_t rows = 0;
@@ -332,7 +332,8 @@ TEST(SharedBuildTest, BuildHappensOnceAcrossProbes) {
   int64_t total = 0;
   for (int f = 0; f < 2; ++f) {
     auto probe = std::make_unique<TableScanOperator>(
-        fact, std::vector<int>{1, 2}, offsets[f], offsets[f + 1]);
+        fact, std::vector<int>{1, 2},
+        std::vector<RowRange>{{offsets[f], offsets[f + 1] - offsets[f]}});
     auto probe_key = *BindExpr(Col("product"), probe->schema());
     HashJoinOperator join(std::move(probe), shared,
                           std::vector<ExprPtr>{probe_key}, JoinType::kInner);
@@ -419,10 +420,12 @@ TEST(RleIndexExecTest, MatchingRunsRespectPredicate) {
   TableBuilder table_builder("t", {{"k", DataType::Int64()},
                                    {"v", DataType::Int64()}});
   table_builder.SetEncodingChoice(0, EncodingChoice::kForceRle);
+  table_builder.SetEncodingChoice(1, EncodingChoice::kForceDelta);
   for (int64_t i = 0; i < 900; ++i) {
     (void)table_builder.AddRow({Value(i / 300), Value(i)});
   }
   auto table = *table_builder.Finish();
+  ASSERT_EQ(table->column(1)->encoding(), Encoding::kDelta);
 
   BatchSchema run_schema;
   run_schema.names = {"k"};
@@ -434,10 +437,42 @@ TEST(RleIndexExecTest, MatchingRunsRespectPredicate) {
   EXPECT_EQ((*ranges)[0].start, 300);
   EXPECT_EQ((*ranges)[0].count, 300);
 
-  RleIndexScanOperator scan(table, {0, 1}, *ranges);
+  TableScanOperator scan(table, {0, 1}, *ranges);
   auto result = *CollectToResultTable(&scan);
   EXPECT_EQ(result.num_rows(), 300);
   EXPECT_EQ(result.at(0, 1).int_value(), 300);
+
+  // Non-adjacent ranges over the delta column: the scan's resume cursor
+  // re-seeds at the second range instead of continuing the first's sum,
+  // and each range starts a new batch.
+  auto outer = ComputeMatchingRuns(
+      *table, 0, *BindExpr(Ne(Col("k"), Lit(int64_t{1})), run_schema));
+  ASSERT_TRUE(outer.ok()) << outer.status();
+  ASSERT_EQ(outer->size(), 2u);
+  TableScanOperator outer_scan(table, {1}, *outer);
+  ASSERT_TRUE(outer_scan.Open().ok());
+  std::vector<int64_t> batch_rows;
+  std::vector<int64_t> values;
+  Batch batch;
+  while (true) {
+    auto more = outer_scan.Next(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    batch_rows.push_back(batch.num_rows);
+    const std::vector<int64_t>& ints = batch.columns[0].ints;
+    values.insert(values.end(), ints.begin(), ints.end());
+  }
+  EXPECT_TRUE(outer_scan.Close().ok());
+  EXPECT_EQ(batch_rows, (std::vector<int64_t>{300, 300}));
+  ASSERT_EQ(values.size(), 600u);
+  for (int64_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(values[i], i);
+    EXPECT_EQ(values[300 + i], 600 + i);
+  }
+
+  // An empty range list scans no rows.
+  TableScanOperator empty(table, {0, 1}, std::vector<RowRange>{});
+  EXPECT_EQ(CollectToResultTable(&empty)->num_rows(), 0);
 }
 
 TEST(RleIndexExecTest, SplitRangesBalancesLoad) {

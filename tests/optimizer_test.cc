@@ -137,6 +137,24 @@ TEST_F(OptimizerTest, OrderUnderTopNRemoved) {
   EXPECT_EQ(plan->children[0]->kind, LogicalKind::kScan);
 }
 
+TEST_F(OptimizerTest, RleRewriteMakesOneRangedScan) {
+  // Conjuncts on two RLE columns: the rewrite folds one into the Scan's
+  // run predicate and leaves the other in the Select. Optimizing again
+  // must not fold the other into the ranged scan in place of the first.
+  LogicalOpPtr plan = Prepare(
+      "(select (and (= region \"East\") (= product \"fig\")) (scan sales))");
+  OptimizerOptions options;
+  options.rle_index = OptimizerOptions::RleIndexMode::kForce;
+  ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+  ASSERT_EQ(plan->kind, LogicalKind::kSelect);
+  ASSERT_EQ(plan->children[0]->kind, LogicalKind::kScan);
+  EXPECT_NE(plan->children[0]->run_predicate, nullptr);
+  const std::string once = plan->ToString();
+  EXPECT_NE(once.find("runs["), std::string::npos) << once;
+  ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+  EXPECT_EQ(plan->ToString(), once);
+}
+
 TEST_F(OptimizerTest, ParallelizerInsertsExchangeAtRoot) {
   LogicalOpPtr plan = Prepare("(select (> units 50) (scan sales))");
   ParallelOptions options;

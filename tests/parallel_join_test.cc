@@ -368,7 +368,7 @@ TEST(ParallelJoinTest, ConcurrentOpensBuildExactlyOnce) {
   for (int f = 0; f < kFractions; ++f) {
     group.Spawn([&, f] {
       auto probe_scan = std::make_unique<TableScanOperator>(
-          sales, std::vector<int>{1, 2}, f * per, (f + 1) * per);
+          sales, std::vector<int>{1, 2}, std::vector<RowRange>{{f * per, per}});
       auto probe_key = *BindExpr(Col("product"), probe_scan->schema());
       HashJoinOperator join(std::move(probe_scan), shared,
                             std::vector<ExprPtr>{probe_key},

@@ -299,6 +299,45 @@ TEST(TdeRleIndexTest, RleRewriteMatchesPlainScan) {
   EXPECT_TRUE(ResultTable::SameUnordered(r_off->table, r_on->table));
   // Range skipping reads only the matching quarter of the table.
   EXPECT_LT(r_on->stats->rows_scanned, r_off->stats->rows_scanned / 2);
+
+  // A hash aggregate over the ranged scan stays on the row path: range
+  // skipping outranks the encoded path (DESIGN.md §11).
+  const std::string by_product =
+      "(aggregate ((product product)) ((n count*)) (select (= region "
+      "\"South\") (scan sales)))";
+  auto e_off = engine.Execute(by_product, off);
+  auto e_on = engine.Execute(by_product, on);
+  ASSERT_TRUE(e_off.ok()) << e_off.status();
+  ASSERT_TRUE(e_on.ok()) << e_on.status();
+  EXPECT_TRUE(e_on->stats->used_rle_index) << e_on->plan_text;
+  EXPECT_FALSE(e_on->stats->used_encoded_path) << e_on->plan_text;
+  EXPECT_TRUE(ResultTable::SameUnordered(e_off->table, e_on->table));
+
+  // Parallel: the matching runs of `product` (RLE, the second sort key)
+  // are split across fractions by row count, so one region's runs land in
+  // two fractions. Grouping by `region` must not range-partition the
+  // ranged scan (each fraction would emit its own partial group); it
+  // merges local aggregates instead.
+  const std::string grouped =
+      "(aggregate ((region region)) ((n count*) (total sum units)) "
+      "(select (or (= product \"apple\") (= product \"banana\")) "
+      "(scan sales)))";
+  QueryOptions par_off;
+  par_off.parallel.max_dop = 4;
+  par_off.parallel.min_rows_per_fraction = 1024;
+  par_off.parallel.range_partition_min_distinct = 1;
+  par_off.optimizer.rle_index = OptimizerOptions::RleIndexMode::kOff;
+  QueryOptions par_on = par_off;
+  par_on.optimizer.rle_index = OptimizerOptions::RleIndexMode::kForce;
+  auto p_off = engine.Execute(grouped, par_off);
+  auto p_on = engine.Execute(grouped, par_on);
+  ASSERT_TRUE(p_off.ok()) << p_off.status();
+  ASSERT_TRUE(p_on.ok()) << p_on.status();
+  EXPECT_TRUE(p_on->stats->used_rle_index) << p_on->plan_text;
+  EXPECT_TRUE(p_on->stats->used_parallel_plan) << p_on->plan_text;
+  EXPECT_EQ(p_on->table.num_rows(), 4);
+  EXPECT_TRUE(TablesEquivalent(p_off->table, p_on->table))
+      << p_on->plan_text;
 }
 
 TEST(TdeJoinCullingTest, UnusedDimensionJoinIsRemoved) {

@@ -540,7 +540,8 @@ TEST(TrafficFrontendTest, LadderServesBoundedStaleThenTypedShed) {
 
   // The retained shed exemplar (the newest shed, listed first among the
   // sheds) tells its story: the degraded rungs' batch spans nest under
-  // frontend.serve, which carries the ladder's shed breadcrumb.
+  // frontend.degraded, inside frontend.serve, which carries the ladder's
+  // shed breadcrumb.
   std::vector<obs::Exemplar> kept = obs::GlobalExemplars().Snapshot();
   auto shed_ex = std::find_if(kept.begin(), kept.end(),
                               [](const obs::Exemplar& e) { return e.shed; });
@@ -548,7 +549,9 @@ TEST(TrafficFrontendTest, LadderServesBoundedStaleThenTypedShed) {
   const obs::RecordedSpan& serve = shed_ex->request.root;
   EXPECT_EQ(serve.name, "frontend.serve");
   EXPECT_NE(serve.Find("batch"), nullptr);
-  EXPECT_NE(serve.Find("frontend.degraded"), nullptr);
+  const obs::RecordedSpan* degraded = serve.Find("frontend.degraded");
+  ASSERT_NE(degraded, nullptr);
+  EXPECT_NE(degraded->Find("batch"), nullptr);
   bool saw_shed_event = false;
   for (const obs::RecordedEvent& ev : serve.events) {
     if (ev.category == "frontend" && ev.detail.rfind("shed ", 0) == 0) {
