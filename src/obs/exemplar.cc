@@ -166,6 +166,15 @@ void TailExemplarStore::RollLocked() {
   current_.index = idx;
 }
 
+bool TailExemplarStore::HasSlotLocked(double duration_ms, bool shed) const {
+  if (shed) return static_cast<int>(current_.shed.size()) < options_.shed_k;
+  if (duration_ms < options_.min_duration_ms || options_.top_k <= 0) {
+    return false;
+  }
+  return static_cast<int>(current_.slow.size()) < options_.top_k ||
+         duration_ms > current_.slow.back().duration_ms;
+}
+
 bool TailExemplarStore::WouldAdmit(double duration_ms) const {
   if (duration_ms < options_.min_duration_ms) return false;
   if (options_.top_k <= 0) return false;
@@ -173,16 +182,20 @@ bool TailExemplarStore::WouldAdmit(double duration_ms) const {
   // A rolled-over window admits everything; don't mutate state here —
   // Offer() does the actual roll.
   if (current_.index != WindowIndexLocked()) return true;
-  if (static_cast<int>(current_.slow.size()) < options_.top_k) return true;
-  return duration_ms > current_.slow.back().duration_ms;
+  return HasSlotLocked(duration_ms, /*shed=*/false);
 }
 
 void TailExemplarStore::Offer(const ExecContext& ctx, const Span* span,
                               const std::string& name, double duration_ms,
                               const std::string& outcome, bool shed) {
-  // Capture outside the lock: the copy is the expensive part, and the
-  // caller only reaches here after WouldAdmit (or for a shed, which is
-  // rare by construction once the ladder works).
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++total_offered_;
+    RollLocked();
+    if (!HasSlotLocked(duration_ms, shed)) return;
+  }
+  // Capture outside the lock: the copy is the expensive part, and only a
+  // request that currently wins a slot pays for it.
   Exemplar ex;
   ex.duration_ms = duration_ms;
   ex.outcome = outcome;
@@ -203,23 +216,13 @@ void TailExemplarStore::Offer(const ExecContext& ctx, const Span* span,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  ++total_offered_;
   RollLocked();
-
+  if (!HasSlotLocked(duration_ms, shed)) return;  // a racing offer won
+  ex.request.id = ++total_retained_;
   if (shed) {
-    if (options_.shed_k <= 0) return;
-    ex.request.id = ++total_retained_;
-    current_.shed.push_front(std::move(ex));
-    if (static_cast<int>(current_.shed.size()) > options_.shed_k) {
-      current_.shed.pop_back();
-    }
+    current_.shed.push_back(std::move(ex));
     return;
   }
-
-  if (duration_ms < options_.min_duration_ms || options_.top_k <= 0) return;
-  bool full = static_cast<int>(current_.slow.size()) >= options_.top_k;
-  if (full && duration_ms <= current_.slow.back().duration_ms) return;
-  ex.request.id = ++total_retained_;
   // Insert keeping slowest-first order.
   auto pos = std::upper_bound(
       current_.slow.begin(), current_.slow.end(), duration_ms,

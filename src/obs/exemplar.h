@@ -13,10 +13,12 @@
 // requests that actually make the cut.
 //
 // Cost model: the hot path is WouldAdmit(), a handful of atomic/mutexed
-// comparisons against the current window's admission floor. The
-// expensive part (deep-copying the span tree) happens only for admitted
-// requests — at steady state that is K requests per window, not K per
-// second. This is what makes "always on" affordable.
+// comparisons against the current window's admission floor, and Offer()
+// makes the same check before it copies anything. The expensive part
+// (deep-copying the span tree) happens only for admitted requests — at
+// steady state that is K requests per window, not K per second, for the
+// slow lane and the first-come shed lane alike. This is what makes
+// "always on" affordable.
 //
 // Two windows (current + previous) are retained so that a scrape right
 // after a window rolls still sees the tail of the last full window.
@@ -127,7 +129,8 @@ class TailExemplarStore {
              const std::string& outcome, bool shed);
 
   // Everything currently retained (current + previous window), slowest
-  // first; shed exemplars follow the slow ones, newest first.
+  // first; shed exemplars follow the slow ones, in arrival order within
+  // each window, current window first.
   std::vector<Exemplar> Snapshot() const;
   // The single slowest retained request (duration 0 when empty).
   Exemplar Slowest() const;
@@ -146,11 +149,14 @@ class TailExemplarStore {
   struct Window {
     int64_t index = -1;                // floor(now / window_seconds)
     std::deque<Exemplar> slow;         // sorted slowest-first, <= top_k
-    std::deque<Exemplar> shed;         // newest-first, <= shed_k
+    std::deque<Exemplar> shed;         // first-come, <= shed_k
   };
 
   int64_t WindowIndexLocked() const;
   void RollLocked();
+  // True when a request of `duration_ms` would take a slot of the current
+  // window's slow lane (or, for a shed, of its shed lane) now.
+  bool HasSlotLocked(double duration_ms, bool shed) const;
 
   const TailExemplarOptions options_;
   const std::chrono::steady_clock::time_point epoch_;

@@ -1,5 +1,7 @@
 #include "src/tde/engine.h"
 
+#include <numeric>
+
 #include "src/obs/plan_profile.h"
 #include "src/tde/plan/binder.h"
 #include "src/tde/plan/rewriter.h"
@@ -85,6 +87,8 @@ StatusOr<QueryResult> TdeEngine::Execute(const LogicalOpPtr& plan,
       new Retained{std::move(root), std::move(compiled)});
   run_span.End();
   int64_t rows_undecoded = 0;
+  const int skipped = std::accumulate(encoded.skipped.begin(),
+                                      encoded.skipped.end(), 0);
   {
     std::lock_guard<std::mutex> lock(result.stats->mu);
     result.stats->encoded_plans = encoded.plans;
@@ -98,16 +102,22 @@ StatusOr<QueryResult> TdeEngine::Execute(const LogicalOpPtr& plan,
       ctx.Count("tde.encoded.rows_undecoded", rows_undecoded);
     }
   }
+  for (int r = 0; r < kNumEncodedSkips && ctx.tracing_enabled(); ++r) {
+    if (encoded.skipped[r] == 0) continue;
+    ctx.Count(std::string("tde.encoded.skip.") +
+                  EncodedSkipToString(static_cast<EncodedSkip>(r)),
+              encoded.skipped[r]);
+  }
   if (result.analysis != nullptr) {
     // The annotated plan and its root row count are attributes of the
     // tde:run span, so a captured exemplar carries them with the trace;
     // per-kind wall times feed the "tde.op.<kind>.ms" histograms.
     std::string analyze_text = result.analysis->ToText();
-    if (encoded.plans > 0 || encoded.fallbacks > 0) {
+    if (encoded.plans > 0 || encoded.fallbacks > 0 || skipped > 0) {
       analyze_text += "encoded: plans=" + std::to_string(encoded.plans) +
                       " fallbacks=" + std::to_string(encoded.fallbacks) +
                       " rows_undecoded=" + std::to_string(rows_undecoded) +
-                      "\n";
+                      " skipped=" + std::to_string(skipped) + "\n";
     }
     run_ctx.Attach("tde.analyze", analyze_text);
     run_ctx.Attach("tde.analyze.root_rows",

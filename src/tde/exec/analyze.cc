@@ -48,6 +48,9 @@ std::string LabelFor(const LogicalOp& op) {
       if (op.agg_phase == AggPhase::kFinal) os << " phase=final";
       if (op.prefer_streaming) os << " streaming";
       if (op.use_encoded_agg) os << " dense";
+      if (op.encoded_skip != EncodedSkip::kNone) {
+        os << " skip=" << EncodedSkipToString(op.encoded_skip);
+      }
       os << "]";
       break;
     case LogicalKind::kTopN:

@@ -55,70 +55,69 @@ StatusOr<bool> TableScanOperator::Next(Batch* batch) {
     VIZQ_RETURN_IF_ERROR(ctx_.CheckContinue("table scan"));
   }
   ++batches_emitted_;
-  // Move to the next non-empty range once the current one is spent; in
-  // morsel mode each claim is the next range.
-  while (cursor_ >= range_end_) {
-    if (morsels_ != nullptr) {
-      if (!morsels_->Claim(&cursor_, &range_end_)) return false;
+  // Fill the batch up to kBatchRows with pieces of consecutive ranges,
+  // skipping empty ones. In morsel mode each claim is the next range and a
+  // batch never spans two claims.
+  pieces_.clear();
+  int64_t num_rows = 0;
+  while (num_rows < kBatchRows) {
+    if (cursor_ < range_end_) {
+      int64_t count = std::min(kBatchRows - num_rows, range_end_ - cursor_);
+      pieces_.push_back(RowRange{cursor_, count});
+      cursor_ += count;
+      num_rows += count;
+    } else if (morsels_ != nullptr) {
+      if (num_rows > 0 || !morsels_->Claim(&cursor_, &range_end_)) break;
       if (stats_ != nullptr) {
         std::lock_guard<std::mutex> lock(stats_->mu);
         ++stats_->morsels_claimed;
         stats_->used_morsel_scan = true;
       }
     } else {
-      if (next_range_ == ranges_.size()) return false;
+      if (next_range_ == ranges_.size()) break;
       const RowRange& range = ranges_[next_range_++];
       cursor_ = range.start;
       range_end_ = range.start + range.count;
     }
   }
-  int64_t count = std::min(kBatchRows, range_end_ - cursor_);
+  if (num_rows == 0) return false;
+
   *batch = schema_.NewBatch();
   int64_t encoded_rows = 0;
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     const Column& col = *table_->column(column_indices_[i]);
     ColumnVector& cv = batch->columns[i];
-    if (emit_encoded_ && col.is_rle()) {
-      // Keep the runs: emit the payload (ints, dict tokens, or bit-cast
-      // doubles) run-length encoded; the null mask stays flat.
-      col.EmitRuns(cursor_, count, &cv.runs);
-      cv.run_encoded = true;
-      col.DecodeNulls(cursor_, count, &cv.nulls);
-      encoded_rows += count;
-      continue;
-    }
-    std::vector<uint8_t> nulls;
-    switch (cv.type.kind) {
-      case TypeKind::kFloat64:
-        col.DecodeDoubles(cursor_, count, &cv.doubles, &nulls);
-        break;
-      case TypeKind::kString:
-        if (cv.dict != nullptr) {
-          col.DecodeIntsResumable(&delta_cursors_[i], cursor_, count,
-                                  &cv.ints, &nulls);
-        } else {
-          col.DecodeStrings(cursor_, count, &cv.strings, &nulls);
-        }
-        break;
-      default:
-        col.DecodeIntsResumable(&delta_cursors_[i], cursor_, count, &cv.ints,
-                                &nulls);
-        break;
-    }
-    bool any_null = false;
-    for (uint8_t b : nulls) {
-      if (b != 0) {
-        any_null = true;
-        break;
+    // kRle columns under encoded emission keep their runs: the payload
+    // (ints, dict tokens, or bit-cast doubles) stays run-length encoded,
+    // and each piece's runs are rebased to its offset in the batch.
+    const bool keep_runs = emit_encoded_ && col.is_rle();
+    if (!keep_runs) cv.Reserve(num_rows);
+    int64_t at = 0;
+    for (const RowRange& piece : pieces_) {
+      if (keep_runs) {
+        size_t first = cv.runs.size();
+        col.EmitRuns(piece.start, piece.count, &cv.runs);
+        for (size_t r = first; r < cv.runs.size(); ++r) cv.runs[r].start += at;
+      } else if (cv.type.kind == TypeKind::kFloat64) {
+        col.DecodeDoubles(piece.start, piece.count, &cv.doubles);
+      } else if (cv.type.kind == TypeKind::kString && cv.dict == nullptr) {
+        col.DecodeStrings(piece.start, piece.count, &cv.strings);
+      } else {
+        col.DecodeIntsResumable(&delta_cursors_[i], piece.start, piece.count,
+                                &cv.ints);
       }
+      col.DecodeNulls(piece.start, piece.count, at, &cv.nulls);
+      at += piece.count;
     }
-    if (any_null) cv.nulls = std::move(nulls);
+    if (keep_runs) {
+      cv.run_encoded = true;
+      encoded_rows += num_rows;
+    }
   }
-  batch->num_rows = count;
-  cursor_ += count;
+  batch->num_rows = num_rows;
   if (stats_ != nullptr) {
     std::lock_guard<std::mutex> lock(stats_->mu);
-    stats_->rows_scanned += count;
+    stats_->rows_scanned += num_rows;
     stats_->encoded_rows_undecoded += encoded_rows;
     ++stats_->batches;
   }

@@ -1,7 +1,9 @@
 // TableScan and FractionTable (§4.2.1): scans a list of row ranges of a
 // stored table. The list is the whole table, one fraction of it, or the
 // runs of an RLE column that satisfy a filter (RLE range skipping, §4.3:
-// "range skipping expressed as a join in the query plan"). The
+// "range skipping expressed as a join in the query plan"). A batch may
+// span several ranges, so short matching runs still arrive in full
+// batches. The
 // parallelizer partitions a table into N fractions and gives each
 // Exchange input a FractionTable-style scan over its own ranges — random
 // (contiguous) partitioning, range partitioning aligned to group
@@ -29,10 +31,12 @@ struct RowRange {
 class TableScanOperator : public Operator {
  public:
   // Scans `ranges` of `table` in list order, producing the columns in
-  // `column_indices` (in that order). Empty ranges are skipped, a batch
-  // never spans two ranges, and an empty list scans no rows. The scan
-  // polls `ctx` every few batches, so a deadline or cancellation actually
-  // stops the work mid-scan.
+  // `column_indices` (in that order). Each batch fills up to kBatchRows
+  // rows from consecutive ranges, so it may span several ranges (the
+  // matching runs of a ranged scan arrive in full batches); empty ranges
+  // are skipped, and an empty list scans no rows. The scan polls `ctx`
+  // every few batches, so a deadline or cancellation actually stops the
+  // work mid-scan.
   TableScanOperator(std::shared_ptr<const Table> table,
                     std::vector<int> column_indices,
                     std::vector<RowRange> ranges, ExecStats* stats = nullptr,
@@ -44,13 +48,14 @@ class TableScanOperator : public Operator {
   // Morsel mode (§10): instead of the constructor's ranges, the scan
   // claims row-range morsels from `queue` until it is drained. Sibling
   // scans of one Exchange share the queue, so work distributes
-  // dynamically.
+  // dynamically. A batch never spans two claims.
   void SetMorselQueue(MorselQueuePtr queue) { morsels_ = std::move(queue); }
 
   // Encoded emission (DESIGN.md §11): kRle columns are emitted as
   // run-encoded ColumnVectors (clipped, batch-relative runs over the raw
-  // payload / dict tokens) instead of being flattened. Only enabled by the
-  // planner when every downstream operator on the path is run-aware.
+  // payload / dict tokens; a batch spanning several ranges concatenates
+  // their runs) instead of being flattened. Only enabled by the planner
+  // when every downstream operator on the path is run-aware.
   void SetEmitEncoded(bool v) { emit_encoded_ = v; }
 
   const BatchSchema& schema() const override { return schema_; }
@@ -62,6 +67,7 @@ class TableScanOperator : public Operator {
   std::shared_ptr<const Table> table_;
   std::vector<int> column_indices_;
   std::vector<RowRange> ranges_;
+  std::vector<RowRange> pieces_;  // the current batch's row ranges
   size_t next_range_ = 0;  // index of the range after the current one
   int64_t cursor_ = 0;     // next row to emit
   int64_t range_end_ = 0;  // end of the current range or claimed morsel

@@ -17,6 +17,20 @@ const char* LogicalKindToString(LogicalKind k) {
   return "?";
 }
 
+const char* EncodedSkipToString(EncodedSkip s) {
+  switch (s) {
+    case EncodedSkip::kNone: return "none";
+    case EncodedSkip::kNoGroupKeys: return "no_group_keys";
+    case EncodedSkip::kNotScanChain: return "not_scan_chain";
+    case EncodedSkip::kKeyNotDictionary: return "key_not_dictionary";
+    case EncodedSkip::kCellCap: return "cell_cap";
+    case EncodedSkip::kArgOverRle: return "arg_over_rle";
+    case EncodedSkip::kConjunctOverRle: return "conjunct_over_rle";
+    case EncodedSkip::kStreaming: return "streaming";
+  }
+  return "unknown";
+}
+
 BatchSchema LogicalOp::OutputBatchSchema() const {
   BatchSchema schema;
   for (const OutputColumn& c : output) {

@@ -48,6 +48,25 @@ enum class PartitionKind : uint8_t {
   kMorsel,      // dynamic row-range morsels from a shared queue (§10)
 };
 
+// Why DecideEncodedExec left a non-final Aggregate on the row path
+// (DESIGN.md §11). The first three mean the pattern did not match; the
+// three gates are the encoded path's fallbacks.
+enum class EncodedSkip : uint8_t {
+  kNone = 0,          // took the dense path, or was not considered
+  kNoGroupKeys,       // a scalar aggregate
+  kNotScanChain,      // the input is not [Select]* over a Scan (a join...)
+  kKeyNotDictionary,  // a group key is not a bare dictionary-string column
+  kCellCap,           // gate 1: the dense cell space exceeds the cap
+  kArgOverRle,        // gate 2: a computed argument reads an RLE column
+  kConjunctOverRle,   // gate 3: a multi-column conjunct reads an RLE column
+  kStreaming,         // a streaming aggregate executes here instead
+};
+inline constexpr int kNumEncodedSkips = 8;
+
+// Short stable token, e.g. "key_not_dictionary"; used as the
+// tde.encoded.skip.<reason> metric suffix and in EXPLAIN ANALYZE labels.
+const char* EncodedSkipToString(EncodedSkip s);
+
 // A named output expression (projection entry / group-by entry).
 struct NamedExpr {
   std::string name;
@@ -132,6 +151,7 @@ struct LogicalOp {
   std::vector<int> encoded_key_columns;    // child column index per key
   std::vector<int64_t> encoded_key_cards;  // dictionary size per key
   int64_t encoded_cells = 1;               // prod(card + 1)
+  EncodedSkip encoded_skip = EncodedSkip::kNone;
 
   // --- kOrder / kTopN ---
   std::vector<LogicalSortKey> order_keys;

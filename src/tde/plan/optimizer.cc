@@ -648,12 +648,12 @@ Status RleIndexPass(LogicalOpPtr* node, const OptimizerOptions& options) {
 // --- encoding-aware execution (DESIGN.md §11) ---
 
 // The pattern DecideEncodedExec looks for: Aggregate → [Select]* → Scan
-// where every group key is a bare reference to a dictionary-string column.
-// `candidate` means the pattern matched; `viable` means all gates passed
-// too (key-space cap, argument and conjunct encodings).
+// (full or ranged) where every group key is a bare reference to a
+// dictionary-string column. `candidate` means the pattern matched; `skip`
+// names the first failed check (kNone when every gate passed too).
 struct EncodedCandidate {
   bool candidate = false;
-  bool viable = false;
+  EncodedSkip skip = EncodedSkip::kNone;
   LogicalOp* scan = nullptr;
   std::vector<LogicalOp*> selects;  // outermost first
   std::vector<int> key_columns;     // child-schema index per group key
@@ -664,24 +664,26 @@ struct EncodedCandidate {
   std::vector<std::vector<EncodedConjunct>> conjuncts;
 };
 
+// Analyzes a non-final Aggregate.
 EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
                                          const OptimizerOptions& options) {
   EncodedCandidate cand;
-  if (op->kind != LogicalKind::kAggregate ||
-      op->agg_phase == AggPhase::kFinal || op->group_by.empty()) {
+  auto skip = [&cand](EncodedSkip why) {
+    cand.skip = why;
     return cand;
-  }
-  // Walk the child chain: Selects over a plain table scan.
+  };
+  if (op->group_by.empty()) return skip(EncodedSkip::kNoGroupKeys);
+  // Walk the child chain: Selects over a table scan. A ranged scan
+  // qualifies too: range skipping picks the rows, then the encoded Select
+  // and the dense Aggregate run on them.
   LogicalOp* cur = op->children.empty() ? nullptr : op->children[0].get();
   while (cur != nullptr && cur->kind == LogicalKind::kSelect) {
     cand.selects.push_back(cur);
     cur = cur->children.empty() ? nullptr : cur->children[0].get();
   }
-  // A ranged scan is not a candidate: range skipping takes precedence over
-  // the encoded path (DESIGN.md §11).
   if (cur == nullptr || cur->kind != LogicalKind::kScan ||
-      cur->table == nullptr || cur->run_predicate != nullptr) {
-    return cand;
+      cur->table == nullptr) {
+    return skip(EncodedSkip::kNotScanChain);
   }
   cand.scan = cur;
   const Table& table = *cur->table;
@@ -695,11 +697,12 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
   // Every group key must be a bare reference to a dict-string column.
   cand.all_keys_rle = true;
   for (const NamedExpr& g : op->group_by) {
-    if (g.expr->kind != ExprKind::kColumnRef || g.expr->column_index < 0) {
-      return cand;
+    const Column* col = g.expr->kind == ExprKind::kColumnRef
+                            ? table_column(g.expr->column_index)
+                            : nullptr;
+    if (col == nullptr || !col->is_dictionary_string()) {
+      return skip(EncodedSkip::kKeyNotDictionary);
     }
-    const Column* col = table_column(g.expr->column_index);
-    if (col == nullptr || !col->is_dictionary_string()) return cand;
     cand.key_columns.push_back(g.expr->column_index);
     cand.key_cards.push_back(col->dictionary()->size());
     if (!col->is_rle()) cand.all_keys_rle = false;
@@ -709,7 +712,7 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
   // Gate 1: the dense cell space must fit under the cap (overflow-safe).
   int64_t cap = options.encoded_group_cells_max;
   for (int64_t card : cand.key_cards) {
-    if (card + 1 > cap / cand.cells) return cand;  // fallback
+    if (card + 1 > cap / cand.cells) return skip(EncodedSkip::kCellCap);
     cand.cells *= card + 1;
   }
 
@@ -718,9 +721,8 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
   for (const LogicalAgg& a : op->aggregates) {
     if (a.arg == nullptr) continue;
     if (a.arg->kind == ExprKind::kColumnRef) {
-      if (a.arg->column_index < 0 ||
-          table_column(a.arg->column_index) == nullptr) {
-        return cand;
+      if (table_column(a.arg->column_index) == nullptr) {
+        return skip(EncodedSkip::kArgOverRle);
       }
       continue;
     }
@@ -728,7 +730,9 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     a.arg->CollectColumnIndices(&refs);
     for (int c : refs) {
       const Column* col = table_column(c);
-      if (col == nullptr || col->is_rle()) return cand;
+      if (col == nullptr || col->is_rle()) {
+        return skip(EncodedSkip::kArgOverRle);
+      }
     }
   }
 
@@ -748,7 +752,7 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
       ec.expr = e;
       if (refs.size() == 1) {
         const Column* col = table_column(refs[0]);
-        if (col == nullptr) return cand;
+        if (col == nullptr) return skip(EncodedSkip::kConjunctOverRle);
         ec.column_index = refs[0];
         if (col->is_dictionary_string()) {
           ec.kind = EncodedConjunct::Kind::kTokenBitmap;
@@ -761,15 +765,15 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
         ec.kind = EncodedConjunct::Kind::kPerRow;
         for (int c : refs) {
           const Column* col = table_column(c);
-          if (col == nullptr || col->is_rle()) return cand;
+          if (col == nullptr || col->is_rle()) {
+            return skip(EncodedSkip::kConjunctOverRle);
+          }
         }
       }
       classified.push_back(std::move(ec));
     }
     cand.conjuncts.push_back(std::move(classified));
   }
-
-  cand.viable = true;
   return cand;
 }
 
@@ -777,28 +781,33 @@ void DecideEncodedNode(const LogicalOpPtr& node,
                        const OptimizerOptions& options,
                        EncodedExecDecision* out) {
   LogicalOp* op = node.get();
-  // Streaming aggregation keeps precedence where it actually executes
-  // (complete-phase, sorted input): it pipelines and never materializes a
-  // table. Partial-phase nodes in parallel plans never run streaming, so
-  // the dense path may claim them even if prefer_streaming survived the
-  // phase split.
-  bool claimed_by_streaming =
-      op->prefer_streaming && op->agg_phase == AggPhase::kComplete;
-  if (op->kind == LogicalKind::kAggregate && !claimed_by_streaming) {
+  if (op->kind == LogicalKind::kAggregate &&
+      op->agg_phase != AggPhase::kFinal) {
     EncodedCandidate cand = AnalyzeEncodedCandidate(op, options);
-    if (cand.candidate) {
-      if (cand.viable) {
-        op->use_encoded_agg = true;
-        op->encoded_key_columns = cand.key_columns;
-        op->encoded_key_cards = cand.key_cards;
-        op->encoded_cells = cand.cells;
-        cand.scan->emit_encoded = true;
-        for (size_t i = 0; i < cand.selects.size(); ++i) {
-          cand.selects[i]->encoded_filter = true;
-          cand.selects[i]->encoded_conjuncts = cand.conjuncts[i];
-        }
-        ++out->plans;
-      } else {
+    // Streaming aggregation keeps precedence where it actually executes
+    // (complete-phase, sorted input): it pipelines and never materializes
+    // a table. Partial-phase nodes in parallel plans never run streaming,
+    // so the dense path may claim them even if prefer_streaming survived
+    // the phase split.
+    if (cand.candidate && op->prefer_streaming &&
+        op->agg_phase == AggPhase::kComplete) {
+      cand.skip = EncodedSkip::kStreaming;
+    }
+    op->encoded_skip = cand.skip;
+    if (cand.skip == EncodedSkip::kNone) {
+      op->use_encoded_agg = true;
+      op->encoded_key_columns = cand.key_columns;
+      op->encoded_key_cards = cand.key_cards;
+      op->encoded_cells = cand.cells;
+      cand.scan->emit_encoded = true;
+      for (size_t i = 0; i < cand.selects.size(); ++i) {
+        cand.selects[i]->encoded_filter = true;
+        cand.selects[i]->encoded_conjuncts = cand.conjuncts[i];
+      }
+      ++out->plans;
+    } else {
+      ++out->skipped[static_cast<int>(cand.skip)];
+      if (cand.candidate && cand.skip != EncodedSkip::kStreaming) {
         ++out->fallbacks;
       }
     }

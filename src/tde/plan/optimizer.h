@@ -8,6 +8,8 @@
 #ifndef VIZQUERY_TDE_PLAN_OPTIMIZER_H_
 #define VIZQUERY_TDE_PLAN_OPTIMIZER_H_
 
+#include <array>
+
 #include "src/tde/plan/logical.h"
 
 namespace vizq::tde {
@@ -39,11 +41,15 @@ struct OptimizerOptions {
 struct EncodedExecDecision {
   int plans = 0;      // pipelines that got the encoded path
   int fallbacks = 0;  // candidate pipelines that failed a gate
+  // Non-final Aggregates left on the row path, by EncodedSkip (kNone
+  // unused); the three gate reasons sum to `fallbacks`.
+  std::array<int, kNumEncodedSkips> skipped{};
 };
 
 // Decides, per Scan→[Select]→Aggregate pipeline of the (parallelized) plan,
 // whether the encoded path applies, annotating the nodes in place
-// (emit_encoded / encoded_filter / use_encoded_agg). Idempotent; walks
+// (emit_encoded / encoded_filter / use_encoded_agg, or encoded_skip on an
+// Aggregate left on the row path). Idempotent; walks
 // through Exchange into each fragment. The row path stays the correctness
 // baseline for everything not annotated.
 EncodedExecDecision DecideEncodedExec(const LogicalOpPtr& root,

@@ -95,21 +95,12 @@ Value Column::GetValue(int64_t row) const {
   return Value::Null();
 }
 
-void Column::DecodeInts(int64_t start, int64_t count,
-                        std::vector<int64_t>* out,
-                        std::vector<uint8_t>* null_mask) const {
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
+void Column::DecodeRaw(int64_t start, int64_t count, int64_t* dst) const {
   switch (encoding_) {
     case Encoding::kPlain:
     case Encoding::kDictionary:
-      std::memcpy(out->data(), ints_.data() + start, count * sizeof(int64_t));
-      break;
+      std::memcpy(dst, ints_.data() + start, count * sizeof(int64_t));
+      return;
     case Encoding::kRle: {
       // Locate the first overlapping run, then emit run-by-run.
       const RleRun* run = FindRun(runs_, start);
@@ -120,119 +111,104 @@ void Column::DecodeInts(int64_t start, int64_t count,
         const RleRun& r = runs_[idx];
         int64_t from = std::max(start + produced, r.start);
         int64_t to = std::min(start + count, r.start + r.count);
-        for (int64_t row = from; row < to; ++row) {
-          (*out)[produced++] = r.value;
-        }
+        for (int64_t row = from; row < to; ++row) dst[produced++] = r.value;
         ++idx;
       }
-      break;
+      return;
     }
-    case Encoding::kDelta: {
-      int64_t v = delta_base_;
-      for (int64_t i = 0; i < start; ++i) v += deltas_[i];
-      for (int64_t i = 0; i < count; ++i) {
-        (*out)[i] = v;
-        if (start + i < static_cast<int64_t>(deltas_.size())) {
-          v += deltas_[start + i];
-        }
-      }
-      break;
-    }
+    case Encoding::kDelta:
+      DecodeDeltas(0, delta_base_, start, count, dst);
+      return;
   }
+}
+
+int64_t Column::DecodeDeltas(int64_t from, int64_t acc, int64_t start,
+                             int64_t count, int64_t* dst) const {
+  const int64_t num_deltas = static_cast<int64_t>(deltas_.size());
+  for (int64_t i = from; i < start; ++i) acc += deltas_[i];
+  for (int64_t i = 0; i < count; ++i) {
+    dst[i] = acc;
+    if (start + i < num_deltas) acc += deltas_[start + i];
+  }
+  return acc;
+}
+
+void Column::DecodeInts(int64_t start, int64_t count,
+                        std::vector<int64_t>* out) const {
+  if (count <= 0) return;
+  size_t at = out->size();
+  out->resize(at + count);
+  DecodeRaw(start, count, out->data() + at);
 }
 
 void Column::DecodeDoubles(int64_t start, int64_t count,
-                           std::vector<double>* out,
-                           std::vector<uint8_t>* null_mask) const {
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
+                           std::vector<double>* out) const {
+  if (count <= 0) return;
+  size_t at = out->size();
+  out->resize(at + count);
   if (encoding_ == Encoding::kPlain) {
-    std::memcpy(out->data(), doubles_.data() + start, count * sizeof(double));
+    std::memcpy(out->data() + at, doubles_.data() + start,
+                count * sizeof(double));
     return;
   }
   // RLE/delta doubles travel through the int payload as bit patterns.
-  std::vector<int64_t> raw;
-  DecodeInts(start, count, &raw, nullptr);
-  for (int64_t i = 0; i < count; ++i) (*out)[i] = BitsToDouble(raw[i]);
+  std::vector<int64_t> raw(count);
+  DecodeRaw(start, count, raw.data());
+  for (int64_t i = 0; i < count; ++i) (*out)[at + i] = BitsToDouble(raw[i]);
 }
 
 void Column::DecodeStrings(int64_t start, int64_t count,
-                           std::vector<std::string>* out,
-                           std::vector<uint8_t>* null_mask) const {
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
-  }
+                           std::vector<std::string>* out) const {
+  if (count <= 0) return;
+  size_t at = out->size();
+  out->resize(at + count);
   if (dictionary_ != nullptr) {
-    std::vector<int64_t> tokens;
-    DecodeInts(start, count, &tokens, nullptr);
+    std::vector<int64_t> tokens(count);
+    DecodeRaw(start, count, tokens.data());
     for (int64_t i = 0; i < count; ++i) {
-      if (nulls_.empty() || nulls_[start + i] == 0) {
-        (*out)[i] = dictionary_->value(tokens[i]);
-      }
+      if (!IsNull(start + i)) (*out)[at + i] = dictionary_->value(tokens[i]);
     }
     return;
   }
-  for (int64_t i = 0; i < count; ++i) (*out)[i] = strings_[start + i];
+  std::copy(strings_.begin() + start, strings_.begin() + start + count,
+            out->begin() + at);
 }
 
-void Column::DecodeNulls(int64_t start, int64_t count,
+void Column::DecodeNulls(int64_t start, int64_t count, int64_t at,
                          std::vector<uint8_t>* out) const {
-  out->clear();
-  if (nulls_.empty()) return;
-  bool any = false;
-  for (int64_t i = 0; i < count; ++i) {
-    if (nulls_[start + i] != 0) {
-      any = true;
-      break;
-    }
+  if (count <= 0) return;
+  if (nulls_.empty()) {
+    if (!out->empty()) out->resize(out->size() + count, 0);
+    return;
   }
-  if (!any) return;
-  out->assign(nulls_.begin() + start, nulls_.begin() + start + count);
+  auto first = nulls_.begin() + start;
+  auto last = first + count;
+  if (out->empty()) {
+    if (std::all_of(first, last, [](uint8_t b) { return b == 0; })) return;
+    out->assign(at, 0);
+  }
+  out->insert(out->end(), first, last);
 }
 
 void Column::DecodeIntsResumable(DecodeCursor* cursor, int64_t start,
-                                 int64_t count, std::vector<int64_t>* out,
-                                 std::vector<uint8_t>* null_mask) const {
-  if (encoding_ != Encoding::kDelta || cursor == nullptr ||
-      cursor->next_row != start) {
-    DecodeInts(start, count, out, null_mask);
-    if (cursor != nullptr && encoding_ == Encoding::kDelta && count > 0) {
-      cursor->next_row = start + count;
-      cursor->acc = (*out)[count - 1];
-      if (start + count - 1 < static_cast<int64_t>(deltas_.size())) {
-        cursor->acc += deltas_[start + count - 1];
-      }
-    }
+                                 int64_t count,
+                                 std::vector<int64_t>* out) const {
+  if (encoding_ != Encoding::kDelta || cursor == nullptr) {
+    DecodeInts(start, count, out);
     return;
   }
-  out->resize(count);
-  if (null_mask != nullptr) {
-    null_mask->assign(count, 0);
-    if (!nulls_.empty()) {
-      for (int64_t i = 0; i < count; ++i) (*null_mask)[i] = nulls_[start + i];
-    }
+  if (count <= 0) return;
+  // A fresh cursor ({0, 0}) was never seeded: row 0 of a delta column is
+  // delta_base_, not the zero-initialized acc.
+  if (cursor->next_row == 0 || start < cursor->next_row) {
+    cursor->next_row = 0;
+    cursor->acc = delta_base_;
   }
-  // A fresh cursor ({0, 0}) matches start == 0 but was never seeded:
-  // row 0 of a delta column is delta_base_, not the zero-initialized acc.
-  if (start == 0) cursor->acc = delta_base_;
-  int64_t v = cursor->acc;
-  for (int64_t i = 0; i < count; ++i) {
-    (*out)[i] = v;
-    if (start + i < static_cast<int64_t>(deltas_.size())) {
-      v += deltas_[start + i];
-    }
-  }
+  size_t at = out->size();
+  out->resize(at + count);
+  cursor->acc = DecodeDeltas(cursor->next_row, cursor->acc, start, count,
+                             out->data() + at);
   cursor->next_row = start + count;
-  cursor->acc = v;
 }
 
 int64_t Column::EmitRuns(int64_t start, int64_t count,

@@ -108,44 +108,46 @@ class Column {
   // the bulk decoders below).
   Value GetValue(int64_t row) const;
 
-  // Bulk-decodes rows [start, start+count) of the int64 payload
-  // (bool/int64/date columns, or dictionary *tokens* for encoded strings).
-  // `out` is resized to count. Null rows decode to 0 with the null mask set.
-  void DecodeInts(int64_t start, int64_t count, std::vector<int64_t>* out,
-                  std::vector<uint8_t>* null_mask) const;
+  // The bulk decoders append rows [start, start+count) to `out`, so a scan
+  // can fill one batch from several row ranges. Null rows decode to 0 (or
+  // an empty string); their flags come from DecodeNulls.
 
-  // Bulk-decodes float64 payload rows.
-  void DecodeDoubles(int64_t start, int64_t count, std::vector<double>* out,
-                     std::vector<uint8_t>* null_mask) const;
+  // Appends the int64 payload (bool/int64/date columns, or dictionary
+  // *tokens* for encoded strings).
+  void DecodeInts(int64_t start, int64_t count,
+                  std::vector<int64_t>* out) const;
 
-  // Bulk-decodes string rows (plain string columns only; dictionary string
+  // Appends the float64 payload.
+  void DecodeDoubles(int64_t start, int64_t count,
+                     std::vector<double>* out) const;
+
+  // Appends string rows (plain string columns only; dictionary string
   // columns should be scanned as tokens + dictionary()).
   void DecodeStrings(int64_t start, int64_t count,
-                     std::vector<std::string>* out,
-                     std::vector<uint8_t>* null_mask) const;
+                     std::vector<std::string>* out) const;
 
-  // Decodes only the null mask of rows [start, start+count). `out` is
-  // cleared when the range has no nulls (the "no nulls" convention of
-  // ColumnVector); otherwise it holds `count` flags.
-  void DecodeNulls(int64_t start, int64_t count,
+  // Appends the null flags of rows [start, start+count) to `out`, the mask
+  // of a vector that already holds `at` rows, in ColumnVector's "no nulls"
+  // convention: an empty mask means no nulls so far. `out` stays empty
+  // until the first null, and is then padded with `at` zeros.
+  void DecodeNulls(int64_t start, int64_t count, int64_t at,
                    std::vector<uint8_t>* out) const;
 
   // Streaming decode state for DecodeIntsResumable: carries the delta
-  // prefix sum across consecutive batch decodes so a full-column scan is
-  // O(n) instead of O(n^2) (DecodeInts recomputes the prefix from row 0 on
+  // prefix sum across decodes so a scan of ascending row ranges is O(n)
+  // instead of O(n^2) (DecodeInts recomputes the prefix from row 0 on
   // every call).
   struct DecodeCursor {
     int64_t next_row = 0;
     int64_t acc = 0;  // value of row next_row (kDelta only)
   };
 
-  // DecodeInts with a resume cursor. Equivalent output; when `start`
-  // matches cursor->next_row on a kDelta column the prefix sum continues
-  // incrementally. Any other encoding (or a non-contiguous start, e.g. a
-  // morsel jump) delegates to DecodeInts and re-seeds the cursor.
+  // DecodeInts with a resume cursor. Equivalent output; on a kDelta column
+  // a `start` at or past cursor->next_row continues the prefix sum from
+  // the cursor, and a start before it (a morsel claimed out of order)
+  // re-seeds from row 0.
   void DecodeIntsResumable(DecodeCursor* cursor, int64_t start, int64_t count,
-                           std::vector<int64_t>* out,
-                           std::vector<uint8_t>* null_mask) const;
+                           std::vector<int64_t>* out) const;
 
   // Emits the kRle runs overlapping rows [start, start+count), clipped to
   // the range and rebased so run starts are relative to `start`. Runs are
@@ -185,6 +187,14 @@ class Column {
  private:
   friend class ColumnBuilder;
   friend class ColumnSerializer;
+
+  // Writes the raw int payload of rows [start, start+count) to `dst`.
+  void DecodeRaw(int64_t start, int64_t count, int64_t* dst) const;
+  // kDelta: writes rows [start, start+count) to `dst`, summing the deltas
+  // on from `acc`, the value of row `from` <= start. Returns the value of
+  // row start+count.
+  int64_t DecodeDeltas(int64_t from, int64_t acc, int64_t start,
+                       int64_t count, int64_t* dst) const;
 
   DataType type_;
   Encoding encoding_ = Encoding::kPlain;

@@ -50,9 +50,20 @@ Dataset GenerateDataset(uint64_t seed) {
   // Row-count classes, empty table included.
   static const int64_t kRowCounts[] = {0, 1, 2, 7, 30, 120, 400};
   ds.rows = kRowCounts[rng.Below(7)];
+  // One class spans several scan batches: 2,500 rows with d0 in null-free
+  // sorted runs, so a d0 filter becomes a ranged scan whose batches fill
+  // from several runs and break inside runs. Drawn from its own stream, so
+  // every dataset outside the class is the one its seed always produced.
+  Rng batch_class_rng(HashCombine(seed, 0xba7c4e5));
+  const bool multi_batch = batch_class_rng.Chance(0.1);
+  if (multi_batch) ds.rows = 2500;
 
   StringDimProfile d0 = MakeStringDimProfile(rng, "a");
   StringDimProfile d1 = MakeStringDimProfile(rng, "b");
+  if (multi_batch) {
+    d0.sorted_runs = true;
+    d0.null_frac = 0;
+  }
 
   // d2: small int domain, possibly negative, possibly nullable.
   int64_t d2_card = 1 + static_cast<int64_t>(rng.Below(6));

@@ -1,8 +1,10 @@
 // DatasetGen: seed-reproducible randomized columnar fixtures with
 // adversarial shapes — NULL-heavy columns, empty tables, single-value
 // (fully run-length-encodable) columns, duplicate keys, extreme numeric
-// magnitudes, high-cardinality strings, and strings chosen to collide with
-// textual renderings of other values (e.g. the literal "NULL").
+// magnitudes, high-cardinality strings, strings chosen to collide with
+// textual renderings of other values (e.g. the literal "NULL"), and, in
+// about 10% of datasets, 2,500 rows with d0 in sorted runs, so scans span
+// several batches.
 //
 // Every dataset is a single fact table with a fixed column roster so
 // QueryGen can be schema-oblivious:

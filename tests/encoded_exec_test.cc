@@ -285,13 +285,14 @@ TEST(EncodedExecTest, DecodeIntsResumableMatchesDecodeIntsAcrossJumps) {
   ASSERT_EQ(dl.encoding(), Encoding::kDelta);
 
   Column::DecodeCursor cursor;
-  std::vector<int64_t> got, want;
-  std::vector<uint8_t> got_nulls, want_nulls;
-  // Contiguous decode, then a morsel-style jump, then contiguous again.
-  const int64_t plan[][2] = {{0, 100}, {100, 200}, {1500, 100}, {1600, 50}};
+  // Contiguous decode, then a morsel-style jump forward, then contiguous
+  // again, then a jump back to an earlier row.
+  const int64_t plan[][2] = {
+      {0, 100}, {100, 200}, {1500, 100}, {1600, 50}, {700, 30}};
   for (const auto& step : plan) {
-    dl.DecodeIntsResumable(&cursor, step[0], step[1], &got, &got_nulls);
-    dl.DecodeInts(step[0], step[1], &want, &want_nulls);
+    std::vector<int64_t> got, want;
+    dl.DecodeIntsResumable(&cursor, step[0], step[1], &got);
+    dl.DecodeInts(step[0], step[1], &want);
     EXPECT_EQ(got, want) << "at start " << step[0];
   }
 }

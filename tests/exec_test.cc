@@ -443,8 +443,8 @@ TEST(RleIndexExecTest, MatchingRunsRespectPredicate) {
   EXPECT_EQ(result.at(0, 1).int_value(), 300);
 
   // Non-adjacent ranges over the delta column: the scan's resume cursor
-  // re-seeds at the second range instead of continuing the first's sum,
-  // and each range starts a new batch.
+  // skips to the second range instead of continuing the first's sum, and
+  // both ranges fill one batch.
   auto outer = ComputeMatchingRuns(
       *table, 0, *BindExpr(Ne(Col("k"), Lit(int64_t{1})), run_schema));
   ASSERT_TRUE(outer.ok()) << outer.status();
@@ -463,7 +463,7 @@ TEST(RleIndexExecTest, MatchingRunsRespectPredicate) {
     values.insert(values.end(), ints.begin(), ints.end());
   }
   EXPECT_TRUE(outer_scan.Close().ok());
-  EXPECT_EQ(batch_rows, (std::vector<int64_t>{300, 300}));
+  EXPECT_EQ(batch_rows, (std::vector<int64_t>{600}));
   ASSERT_EQ(values.size(), 600u);
   for (int64_t i = 0; i < 300; ++i) {
     EXPECT_EQ(values[i], i);
@@ -473,6 +473,90 @@ TEST(RleIndexExecTest, MatchingRunsRespectPredicate) {
   // An empty range list scans no rows.
   TableScanOperator empty(table, {0, 1}, std::vector<RowRange>{});
   EXPECT_EQ(CollectToResultTable(&empty)->num_rows(), 0);
+}
+
+// A ranged scan fills each batch from consecutive ranges: one batch spans
+// several ranges, and a batch boundary falls inside a range. Every
+// encoding decodes at its piece's offset in the batch, and under encoded
+// emission each piece's runs are rebased to that offset.
+TEST(RleIndexExecTest, BatchesSpanRanges) {
+  const int64_t n = 4000;
+  TableBuilder builder("t", {{"s", DataType::String()},
+                             {"r", DataType::Int64()},
+                             {"d", DataType::Float64()},
+                             {"x", DataType::Int64()}});
+  builder.SetEncodingChoice(0, EncodingChoice::kForceDictionary);
+  builder.SetEncodingChoice(1, EncodingChoice::kForceRle);
+  builder.SetEncodingChoice(2, EncodingChoice::kForcePlain);
+  builder.SetEncodingChoice(3, EncodingChoice::kForceDelta);
+  for (int64_t i = 0; i < n; ++i) {
+    // Runs of 70 rows; every fifth run from row 350 on is null, so the
+    // first batch's first null lies in its second range.
+    Value r = (i / 70) % 5 == 0 && i >= 350 ? Value::Null()
+                                            : Value((i / 70) % 3);
+    ASSERT_TRUE(builder
+                    .AddRow({Value("s" + std::to_string(i % 7)), r,
+                             Value(static_cast<double>(i) * 0.5),
+                             Value(i * 3 + i / 10)})
+                    .ok());
+  }
+  auto table = *builder.Finish();
+  ASSERT_EQ(table->column(0)->encoding(), Encoding::kDictionary);
+  ASSERT_EQ(table->column(1)->encoding(), Encoding::kRle);
+  ASSERT_GT(table->column(1)->null_count(), 0);
+  ASSERT_EQ(table->column(2)->encoding(), Encoding::kPlain);
+  ASSERT_EQ(table->column(3)->encoding(), Encoding::kDelta);
+
+  const std::vector<int> cols = {0, 1, 2, 3};
+  TableScanOperator full_scan(table, cols);
+  auto full = *CollectToResultTable(&full_scan);
+  ASSERT_EQ(full.num_rows(), n);
+  const std::vector<RowRange> ranges = {{0, 300}, {600, 900}, {2000, 1500}};
+  std::vector<int64_t> rows;  // the full scan's rows the ranges select
+  for (const RowRange& r : ranges) {
+    for (int64_t i = 0; i < r.count; ++i) rows.push_back(r.start + i);
+  }
+
+  for (bool encoded : {false, true}) {
+    SCOPED_TRACE(encoded ? "encoded emission" : "flat emission");
+    TableScanOperator scan(table, cols, ranges);
+    scan.SetEmitEncoded(encoded);
+    ASSERT_TRUE(scan.Open().ok());
+    std::vector<int64_t> batch_rows;
+    size_t next = 0;  // index into `rows`
+    Batch batch;
+    while (true) {
+      auto more = scan.Next(&batch);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      batch_rows.push_back(batch.num_rows);
+      const ColumnVector& runs = batch.columns[1];
+      EXPECT_EQ(runs.is_run_encoded(), encoded);
+      if (encoded) {
+        // Contiguous, non-empty runs covering [0, num_rows).
+        int64_t end = 0;
+        for (const RleRun& run : runs.runs) {
+          EXPECT_EQ(run.start, end);
+          EXPECT_GT(run.count, 0);
+          end = run.start + run.count;
+        }
+        EXPECT_EQ(end, batch.num_rows);
+      }
+      for (int64_t j = 0; j < batch.num_rows; ++j, ++next) {
+        ASSERT_LT(next, rows.size());
+        for (size_t c = 0; c < cols.size(); ++c) {
+          Value want = full.at(rows[next], static_cast<int>(c));
+          Value got = batch.columns[c].GetValue(j);
+          ASSERT_TRUE(got == want)
+              << "row " << rows[next] << " col " << c << ": "
+              << got.ToString() << " vs " << want.ToString();
+        }
+      }
+    }
+    EXPECT_TRUE(scan.Close().ok());
+    EXPECT_EQ(next, rows.size());
+    EXPECT_EQ(batch_rows, (std::vector<int64_t>{1024, 1024, 652}));
+  }
 }
 
 TEST(RleIndexExecTest, SplitRangesBalancesLoad) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 
 #include "src/common/thread_pool.h"
@@ -171,7 +172,9 @@ TEST(SimulatedSourceTest, AdmissionThrottleQueuesQueries) {
   query::CompiledQuery cq = CompileCount(*source);
 
   // 4 concurrent queries against an admission limit of 2: at least one
-  // must report queue time.
+  // must report queue time. One latch releases all 4 together, so they
+  // reach admission while the first two hold their slots (about 3.7 ms of
+  // modeled work each).
   std::vector<std::unique_ptr<Connection>> conns;
   for (int i = 0; i < 4; ++i) {
     auto c = source->Connect();
@@ -181,8 +184,10 @@ TEST(SimulatedSourceTest, AdmissionThrottleQueuesQueries) {
   std::vector<ExecutionInfo> infos(4);
   {
     ThreadPool workers(4);
+    std::latch start(4);
     for (int i = 0; i < 4; ++i) {
       workers.Submit([&, i] {
+        start.arrive_and_wait();
         auto r = conns[i]->Execute(cq, &infos[i]);
         EXPECT_TRUE(r.ok());
       });

@@ -382,6 +382,31 @@ TEST(ObservabilityEndToEndTest, ExplainAnalyzeRootRowsMatchResult) {
             std::to_string(result->num_rows()));
 }
 
+TEST(ObservabilityEndToEndTest, EncodedSkipReasonsReachGlobalRegistry) {
+  Counter& skips = GlobalMetrics().GetCounter("tde.encoded.skip.no_group_keys");
+  int64_t before = skips.value();
+  FaaFixture fx;
+  BatchOptions opts;
+  opts.use_intelligent_cache = false;
+  opts.use_literal_cache = false;
+  AbstractQuery total =
+      QueryBuilder("faa", workload::kFlightsView).CountAll("n").Build();
+  ExecContext ctx;
+  auto result = fx.service->ExecuteQuery(ctx, total, opts);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // A scalar aggregate has no keys to index a dense table by: the counter,
+  // the Aggregate's label and the footer all name the reason.
+  EXPECT_GT(skips.value(), before);
+  RecordedRequest r = CaptureAll(ctx, "query");
+  const RecordedSpan* run = r.root.Find("tde:run");
+  ASSERT_NE(run, nullptr);
+  const std::string& plan = run->attributes.at("tde.analyze");
+  EXPECT_NE(plan.find("skip=no_group_keys"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("fallbacks=0 rows_undecoded=0 skipped="),
+            std::string::npos)
+      << plan;
+}
+
 TEST(ObservabilityEndToEndTest, CacheMissReasonsReachGlobalRegistry) {
   MetricsRegistry& global = GlobalMetrics();
   Counter& miss_counter =

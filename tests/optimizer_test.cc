@@ -205,6 +205,65 @@ TEST_F(OptimizerTest, SmallTablesStaySerial) {
   EXPECT_EQ(plan->scan_dop, 1);
 }
 
+// Each non-final Aggregate the encoded decision leaves on the row path
+// carries one typed reason; the three gate reasons are the fallbacks.
+TEST_F(OptimizerTest, EncodedDecisionNamesOneSkipReasonPerAggregate) {
+  // `sales` is sorted on (region, product), both RLE dictionary strings;
+  // units, price and day are flat.
+  struct Case {
+    std::string tql;
+    EncodedSkip want;
+    int64_t cells_max = OptimizerOptions().encoded_group_cells_max;
+  };
+  const std::vector<Case> cases = {
+      {"(aggregate () ((n count*)) (scan sales))",
+       EncodedSkip::kNoGroupKeys},
+      {"(aggregate ((category category)) ((n count*)) (join inner ((product "
+       "name)) (scan sales) (scan products) referential))",
+       EncodedSkip::kNotScanChain},
+      {"(aggregate ((units units)) ((n count*)) (scan sales))",
+       EncodedSkip::kKeyNotDictionary},
+      {"(aggregate ((product product)) ((n count*)) (scan sales))",
+       EncodedSkip::kCellCap, /*cells_max=*/4},
+      {"(aggregate ((product product)) ((n count (= region \"East\"))) "
+       "(scan sales))",
+       EncodedSkip::kArgOverRle},
+      {"(aggregate ((product product)) ((n count*)) (select (= region "
+       "product) (scan sales)))",
+       EncodedSkip::kConjunctOverRle},
+      {"(aggregate ((region region)) ((n count*)) (scan sales))",
+       EncodedSkip::kStreaming},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tql);
+    OptimizerOptions options;
+    options.encoded_group_cells_max = c.cells_max;
+    LogicalOpPtr plan = Prepare(c.tql);
+    ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+    EncodedExecDecision d = DecideEncodedExec(plan, options);
+    ASSERT_EQ(plan->kind, LogicalKind::kAggregate) << plan->ToString();
+    EXPECT_EQ(plan->encoded_skip, c.want)
+        << EncodedSkipToString(plan->encoded_skip);
+    EXPECT_FALSE(plan->use_encoded_agg);
+    EXPECT_EQ(d.plans, 0);
+    for (int r = 0; r < kNumEncodedSkips; ++r) {
+      EXPECT_EQ(d.skipped[r], r == static_cast<int>(c.want) ? 1 : 0)
+          << EncodedSkipToString(static_cast<EncodedSkip>(r));
+    }
+    bool gate = c.want == EncodedSkip::kCellCap ||
+                c.want == EncodedSkip::kArgOverRle ||
+                c.want == EncodedSkip::kConjunctOverRle;
+    EXPECT_EQ(d.fallbacks, gate ? 1 : 0);
+  }
+
+  // The reason reaches the Aggregate's EXPLAIN ANALYZE label.
+  TdeEngine engine(db_);
+  auto result = engine.Execute(cases[2].tql, QueryOptions::Serial());
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::string text = result->analysis->ToText();
+  EXPECT_NE(text.find("skip=key_not_dictionary]"), std::string::npos) << text;
+}
+
 // Property: every optimizer configuration preserves results.
 class OptimizerEquivalenceTest : public ::testing::TestWithParam<int> {};
 

@@ -44,7 +44,7 @@ TEST(ColumnEncodingTest, RleRoundTripAndRuns) {
   EXPECT_EQ(col->rle_runs()[3].count, 100);
   // Bulk decode across run boundaries.
   std::vector<int64_t> out;
-  col->DecodeInts(250, 200, &out, nullptr);
+  col->DecodeInts(250, 200, &out);
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(out[49], 2);
   EXPECT_EQ(out[50], 3);
@@ -63,7 +63,7 @@ TEST(ColumnEncodingTest, DeltaRoundTrip) {
   auto col = BuildIntColumn(values, EncodingChoice::kForceDelta);
   ASSERT_EQ(col->encoding(), Encoding::kDelta);
   std::vector<int64_t> out;
-  col->DecodeInts(0, 500, &out, nullptr);
+  col->DecodeInts(0, 500, &out);
   EXPECT_EQ(out, values);
   // Random-access too.
   EXPECT_EQ(col->GetValue(250).int_value(), values[250]);
@@ -157,7 +157,7 @@ TEST_P(EncodingRoundTripTest, RandomDataRoundTrips) {
     ASSERT_EQ(col->size(), n);
     // Random access and bulk decode agree with the source.
     std::vector<int64_t> out;
-    col->DecodeInts(0, n, &out, nullptr);
+    col->DecodeInts(0, n, &out);
     ASSERT_EQ(out, values) << "choice=" << static_cast<int>(choice);
     for (int probe = 0; probe < 16; ++probe) {
       int64_t idx = rng.Below(n);
@@ -166,7 +166,8 @@ TEST_P(EncodingRoundTripTest, RandomDataRoundTrips) {
     // Partial decodes at random offsets.
     int64_t start = rng.Below(n);
     int64_t count = 1 + rng.Below(n - start);
-    col->DecodeInts(start, count, &out, nullptr);
+    out.clear();
+    col->DecodeInts(start, count, &out);
     for (int64_t i = 0; i < count; ++i) {
       ASSERT_EQ(out[i], values[start + i]);
     }

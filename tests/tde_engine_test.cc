@@ -300,8 +300,9 @@ TEST(TdeRleIndexTest, RleRewriteMatchesPlainScan) {
   // Range skipping reads only the matching quarter of the table.
   EXPECT_LT(r_on->stats->rows_scanned, r_off->stats->rows_scanned / 2);
 
-  // A hash aggregate over the ranged scan stays on the row path: range
-  // skipping outranks the encoded path (DESIGN.md §11).
+  // A dictionary-key aggregate over the ranged scan takes the encoded
+  // path: range skipping picks the rows, then the dense Aggregate runs on
+  // them (DESIGN.md §11).
   const std::string by_product =
       "(aggregate ((product product)) ((n count*)) (select (= region "
       "\"South\") (scan sales)))";
@@ -310,14 +311,15 @@ TEST(TdeRleIndexTest, RleRewriteMatchesPlainScan) {
   ASSERT_TRUE(e_off.ok()) << e_off.status();
   ASSERT_TRUE(e_on.ok()) << e_on.status();
   EXPECT_TRUE(e_on->stats->used_rle_index) << e_on->plan_text;
-  EXPECT_FALSE(e_on->stats->used_encoded_path) << e_on->plan_text;
+  EXPECT_TRUE(e_on->stats->used_encoded_path) << e_on->plan_text;
   EXPECT_TRUE(ResultTable::SameUnordered(e_off->table, e_on->table));
 
   // Parallel: the matching runs of `product` (RLE, the second sort key)
   // are split across fractions by row count, so one region's runs land in
   // two fractions. Grouping by `region` must not range-partition the
   // ranged scan (each fraction would emit its own partial group); it
-  // merges local aggregates instead.
+  // merges local aggregates instead, and those run dense under the
+  // Exchange.
   const std::string grouped =
       "(aggregate ((region region)) ((n count*) (total sum units)) "
       "(select (or (= product \"apple\") (= product \"banana\")) "
@@ -335,6 +337,7 @@ TEST(TdeRleIndexTest, RleRewriteMatchesPlainScan) {
   ASSERT_TRUE(p_on.ok()) << p_on.status();
   EXPECT_TRUE(p_on->stats->used_rle_index) << p_on->plan_text;
   EXPECT_TRUE(p_on->stats->used_parallel_plan) << p_on->plan_text;
+  EXPECT_TRUE(p_on->stats->used_encoded_path) << p_on->plan_text;
   EXPECT_EQ(p_on->table.num_rows(), 4);
   EXPECT_TRUE(TablesEquivalent(p_off->table, p_on->table))
       << p_on->plan_text;
