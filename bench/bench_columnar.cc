@@ -14,8 +14,13 @@
 //     rows survive, whole runs at a time). The encoded filter evaluates
 //     once per run and emits a selection vector; the row path evaluates
 //     per row and materializes survivors.
+//   * int key — SUM(v) per value of a 24-value plain int column (an hour
+//     of day): dense grouping over the column's [min, max] domain.
+//   * dimension join — SUM(v) per name of a 10-row dimension joined on
+//     the dictionary key: the encoded path aggregates below the join, so
+//     the join probes 10 partial rows instead of every fact row.
 //
-// Both comparisons flip only enable_encoded_exec. Streaming aggregation
+// Every comparison flips only enable_encoded_exec. Streaming aggregation
 // is disabled on both sides (the sorted key would otherwise claim the
 // group-by for a different — also fast — path; E16/engine tests cover
 // it), and the RLE IndexTable rewrite is disabled for the filter workload
@@ -24,7 +29,8 @@
 // --emit-json=PATH writes BENCH_columnar.json and enforces the acceptance
 // bars: >=5x on the dictionary-key group-by, >=10x on the selective
 // RLE-run filter, and an EXPLAIN ANALYZE plan confirming the encoded
-// operators actually ran (exit 2 below bar, exit 1 on malfunction).
+// operators actually ran (exit 2 below bar, exit 1 on malfunction). The
+// int-key and dimension-join pairs are reported without a bar.
 
 #include <benchmark/benchmark.h>
 
@@ -54,18 +60,29 @@ std::shared_ptr<tde::Database> ColumnarDb() {
   tde::TableBuilder builder("fact",
                             {tde::ColumnInfo{"k", DataType::String()},
                              tde::ColumnInfo{"r", DataType::Int64()},
-                             tde::ColumnInfo{"v", DataType::Int64()}});
+                             tde::ColumnInfo{"v", DataType::Int64()},
+                             tde::ColumnInfo{"h", DataType::Int64()}});
   // k: sorted 10-value dictionary key -> RLE over tokens (kAuto picks it).
   // r: globally increasing bucket -> RLE, runs of kRows/kRunValues.
   // v: plain random int measure.
+  // h: plain random int over 0..23.
   for (int64_t i = 0; i < kRows; ++i) {
     std::string k = "c" + std::to_string(i / (kRows / kKeyCardinality));
     int64_t r = i / (kRows / kRunValues);
-    (void)builder.AddRow({Value(k), Value(r), Value(rng.Range(0, 1000))});
+    (void)builder.AddRow({Value(k), Value(r), Value(rng.Range(0, 1000)),
+                          Value(rng.Range(0, 23))});
   }
   builder.DeclareSorted({0, 1});
   db = std::make_shared<tde::Database>("columnar");
   (void)db->AddTable(*builder.Finish());
+  // dim: one row per key value, code -> name.
+  tde::TableBuilder dim("dim", {tde::ColumnInfo{"code", DataType::String()},
+                                tde::ColumnInfo{"name", DataType::String()}});
+  for (int c = 0; c < kKeyCardinality; ++c) {
+    (void)dim.AddRow({Value("c" + std::to_string(c)),
+                      Value("name " + std::to_string(c))});
+  }
+  (void)db->AddTable(*dim.Finish());
   return db;
 }
 
@@ -75,6 +92,11 @@ const char kGroupBySum[] =
     "(aggregate ((k k)) ((n count*) (s sum v)) (scan fact))";
 const char kSelectiveFilter[] =
     "(aggregate ((k k)) ((n count*)) (select (< r 2) (scan fact)))";
+const char kGroupByIntKey[] =
+    "(aggregate ((h h)) ((s sum v)) (scan fact))";
+const char kDimJoin[] =
+    "(aggregate ((name name)) ((s sum v)) (join inner ((k code)) (scan fact) "
+    "(scan dim) referential))";
 
 tde::QueryOptions BenchOptions(bool encoded) {
   tde::QueryOptions o = tde::QueryOptions::Serial();
@@ -167,40 +189,52 @@ int EmitJson(const std::string& path) {
   double gbs_enc = TimeQuery(engine, kGroupBySum, BenchOptions(true));
   double fl_dec = TimeQuery(engine, kSelectiveFilter, BenchOptions(false));
   double fl_enc = TimeQuery(engine, kSelectiveFilter, BenchOptions(true));
+  double ik_dec = TimeQuery(engine, kGroupByIntKey, BenchOptions(false));
+  double ik_enc = TimeQuery(engine, kGroupByIntKey, BenchOptions(true));
+  double dj_dec = TimeQuery(engine, kDimJoin, BenchOptions(false));
+  double dj_enc = TimeQuery(engine, kDimJoin, BenchOptions(true));
 
   double gb_x = gb_enc > 0 ? gb_dec / gb_enc : 0;
   double gbs_x = gbs_enc > 0 ? gbs_dec / gbs_enc : 0;
   double fl_x = fl_enc > 0 ? fl_dec / fl_enc : 0;
+  double ik_x = ik_enc > 0 ? ik_dec / ik_enc : 0;
+  double dj_x = dj_enc > 0 ? dj_dec / dj_enc : 0;
   std::fprintf(stderr,
                "  group-by count*: decoded %.2f ms, encoded %.2f ms (%.1fx)\n"
                "  group-by +sum:   decoded %.2f ms, encoded %.2f ms (%.1fx)\n"
-               "  selective filter: decoded %.2f ms, encoded %.2f ms (%.1fx)\n",
+               "  selective filter: decoded %.2f ms, encoded %.2f ms (%.1fx)\n"
+               "  int key:          decoded %.2f ms, encoded %.2f ms (%.1fx)\n"
+               "  dimension join:   decoded %.2f ms, encoded %.2f ms (%.1fx)\n",
                gb_dec, gb_enc, gb_x, gbs_dec, gbs_enc, gbs_x, fl_dec, fl_enc,
-               fl_x);
+               fl_x, ik_dec, ik_enc, ik_x, dj_dec, dj_enc, dj_x);
 
   std::ofstream f(path, std::ios::trunc);
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  char buf[640];
+  char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\n"
                 "  \"bench\": \"columnar\",\n"
                 "  \"workload\": \"%lld rows sorted by %d-value dict key; "
-                "%d-run rle filter column; serial, streaming-agg and "
-                "rle-index off\",\n"
+                "%d-run rle filter column; 24-value int key; %d-row "
+                "dimension; serial, streaming-agg and rle-index off\",\n"
                 "  \"groupby_count\": {\"decoded_ms\": %.3f, \"encoded_ms\": "
                 "%.3f, \"speedup_x\": %.2f},\n"
                 "  \"groupby_count_sum\": {\"decoded_ms\": %.3f, "
                 "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
                 "  \"selective_filter\": {\"decoded_ms\": %.3f, "
                 "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
+                "  \"groupby_int_key\": {\"decoded_ms\": %.3f, "
+                "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
+                "  \"dimension_join\": {\"decoded_ms\": %.3f, "
+                "\"encoded_ms\": %.3f, \"speedup_x\": %.2f},\n"
                 "  \"plan_confirms_encoded\": true\n"
                 "}\n",
                 static_cast<long long>(kRows), kKeyCardinality, kRunValues,
-                gb_dec, gb_enc, gb_x, gbs_dec, gbs_enc, gbs_x, fl_dec, fl_enc,
-                fl_x);
+                kKeyCardinality, gb_dec, gb_enc, gb_x, gbs_dec, gbs_enc, gbs_x, fl_dec, fl_enc,
+                fl_x, ik_dec, ik_enc, ik_x, dj_dec, dj_enc, dj_x);
   f << buf;
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   // Acceptance: >=5x on the dictionary-key group-by, >=10x on the

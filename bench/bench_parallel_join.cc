@@ -71,12 +71,17 @@ tde::QueryOptions ParallelOptions(int dop) {
   o.parallel.parallel_build_min_rows = 1;
   o.parallel.parallel_merge_min_rows = 1;
   o.optimizer.enable_join_culling = false;
+  // Encoded execution would aggregate below the carriers join, leaving
+  // the hash join a few dozen partial rows to probe; this bench times the
+  // join itself.
+  o.optimizer.enable_encoded_exec = false;
   return o;
 }
 
 tde::QueryOptions SerialOptions() {
   tde::QueryOptions o = tde::QueryOptions::Serial();
   o.optimizer.enable_join_culling = false;
+  o.optimizer.enable_encoded_exec = false;
   return o;
 }
 

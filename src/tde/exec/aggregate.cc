@@ -530,24 +530,37 @@ Status HashAggregateOperator::ConsumeDense(Batch& in) {
     // Maximal segment [pos, seg_end) on which every key column is constant:
     // bounded by the enclosing run of each run-encoded key, one row for
     // flat keys. Cell digit 0 encodes NULL (runs never straddle null
-    // boundaries, so the run's first row carries its null status).
+    // boundaries, so the run's first row carries its null status); a value
+    // v has digit v - min + 1, checked against the domain once per segment
+    // because the domain comes from stored stats.
     int64_t seg_end = n;
     int64_t cell = 0;
     for (size_t k = 0; k < keys.size(); ++k) {
       const ColumnVector& kc = *keys[k];
-      int64_t token;
+      int64_t value;
       if (kc.is_run_encoded()) {
         while (kc.runs[key_run[k]].start + kc.runs[key_run[k]].count <= pos) {
           ++key_run[k];
         }
         const RleRun& r = kc.runs[key_run[k]];
-        token = kc.IsNull(pos) ? -1 : r.value;
+        value = r.value;
         seg_end = std::min(seg_end, r.start + r.count);
       } else {
-        token = kc.IsNull(pos) ? -1 : kc.ints[pos];
+        value = kc.ints[pos];
         seg_end = std::min(seg_end, pos + 1);
       }
-      cell = cell * (dense_.key_cards[k] + 1) + (token + 1);
+      uint64_t digit = 0;
+      if (!kc.IsNull(pos)) {
+        digit = static_cast<uint64_t>(value) -
+                static_cast<uint64_t>(dense_.key_mins[k]) + 1;
+        if (digit == 0 ||
+            digit > static_cast<uint64_t>(dense_.key_cards[k])) {
+          return DataLoss("group key '" + group_exprs_[k].name + "' value " +
+                          std::to_string(value) +
+                          " lies outside its column's stored domain");
+        }
+      }
+      cell = cell * (dense_.key_cards[k] + 1) + static_cast<int64_t>(digit);
     }
 
     if (sel != nullptr) {

@@ -47,14 +47,16 @@ struct GroupExpr {
 std::vector<ResultColumn> PartialStateColumns(const AggSpec& spec);
 
 // Configuration of the dense (token-indexed) grouping path: every group key
-// is a bare reference to a dictionary-token child column, so a group's
-// identity is a mixed-radix cell index over (token+1) digits — radix
-// card+1, digit 0 reserved for NULL — and the usual hash probe becomes one
-// array lookup. Decided by the optimizer (DecideEncodedExec, DESIGN.md §11).
+// is a bare reference to a child column over a small domain — dictionary
+// tokens [0, size) or integer values [min, max] — so a group's identity is
+// a mixed-radix cell index over (value - min + 1) digits — radix card+1,
+// digit 0 reserved for NULL — and the usual hash probe becomes one array
+// lookup. Decided by the optimizer (DecideEncodedExec, DESIGN.md §11).
 struct DenseAggConfig {
   bool enabled = false;
   std::vector<int> key_columns;    // child column index per group key
-  std::vector<int64_t> key_cards;  // dictionary size per key column
+  std::vector<int64_t> key_cards;  // domain size per key column
+  std::vector<int64_t> key_mins;   // value of digit 1 (0 for dictionaries)
   int64_t total_cells = 1;         // prod(card + 1), capped by the optimizer
 };
 
@@ -79,7 +81,8 @@ class HashAggregateOperator : public Operator {
   // Switches group lookup to the dense token-indexed path and enables
   // whole-run folding of RLE argument columns (one multiply-add per run).
   // Only valid when the config matches this operator's group exprs; the
-  // planner guarantees that. Not supported for kFinal.
+  // planner guarantees that. Not supported for kFinal. A key value outside
+  // its domain (stats of a damaged file) fails the query with DataLoss.
   void EnableDenseGroups(DenseAggConfig config, ExecStats* stats);
 
   // Enables the partitioned parallel merge; only meaningful for kFinal

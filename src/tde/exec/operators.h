@@ -42,6 +42,7 @@ struct ExecStats {
   bool used_encoded_path = false;
   bool used_parallel_build = false;  // partitioned hash-join build ran
   bool used_parallel_merge = false;  // partitioned kFinal merge ran
+  bool used_agg_below_join = false;  // a join probed partial aggregates
   // Encoding-aware execution (DESIGN.md §11): rows that crossed the
   // storage→exec boundary without being decoded to flat vectors, and
   // encoded-path candidates that had to fall back to the row path.

@@ -37,7 +37,7 @@ Status TableScanOperator::Open() {
   next_range_ = 0;
   cursor_ = range_end_ = 0;
   batches_emitted_ = 0;
-  delta_cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
+  cursors_.assign(column_indices_.size(), Column::DecodeCursor{});
   span_ = ctx_.StartSpan("op:scan(" + table_->name() + ")");
   return OkStatus();
 }
@@ -87,32 +87,25 @@ StatusOr<bool> TableScanOperator::Next(Batch* batch) {
   for (size_t i = 0; i < column_indices_.size(); ++i) {
     const Column& col = *table_->column(column_indices_[i]);
     ColumnVector& cv = batch->columns[i];
-    // kRle columns under encoded emission keep their runs: the payload
-    // (ints, dict tokens, or bit-cast doubles) stays run-length encoded,
-    // and each piece's runs are rebased to its offset in the batch.
-    const bool keep_runs = emit_encoded_ && col.is_rle();
-    if (!keep_runs) cv.Reserve(num_rows);
-    int64_t at = 0;
-    for (const RowRange& piece : pieces_) {
-      if (keep_runs) {
-        size_t first = cv.runs.size();
-        col.EmitRuns(piece.start, piece.count, &cv.runs);
-        for (size_t r = first; r < cv.runs.size(); ++r) cv.runs[r].start += at;
-      } else if (cv.type.kind == TypeKind::kFloat64) {
-        col.DecodeDoubles(piece.start, piece.count, &cv.doubles);
-      } else if (cv.type.kind == TypeKind::kString && cv.dict == nullptr) {
-        col.DecodeStrings(piece.start, piece.count, &cv.strings);
-      } else {
-        col.DecodeIntsResumable(&delta_cursors_[i], piece.start, piece.count,
-                                &cv.ints);
-      }
-      col.DecodeNulls(piece.start, piece.count, at, &cv.nulls);
-      at += piece.count;
-    }
-    if (keep_runs) {
+    // One decoder call per column covers every piece of the batch (plain
+    // strings copy per piece). kRle columns under encoded emission keep
+    // their runs: the payload (ints, dict tokens, or bit-cast doubles)
+    // stays run-length encoded, rebased to the batch.
+    if (emit_encoded_ && col.is_rle()) {
+      col.EmitRuns(&cursors_[i], pieces_, &cv.runs);
       cv.run_encoded = true;
       encoded_rows += num_rows;
+    } else if (cv.type.kind == TypeKind::kFloat64) {
+      col.DecodeDoubles(&cursors_[i], pieces_, &cv.doubles);
+    } else if (cv.type.kind == TypeKind::kString && cv.dict == nullptr) {
+      cv.Reserve(num_rows);
+      for (const RowRange& piece : pieces_) {
+        col.DecodeStrings(piece.start, piece.count, &cv.strings);
+      }
+    } else {
+      col.DecodeIntsResumable(&cursors_[i], pieces_, &cv.ints);
     }
+    col.DecodeNulls(pieces_, 0, &cv.nulls);
   }
   batch->num_rows = num_rows;
   if (stats_ != nullptr) {

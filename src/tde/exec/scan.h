@@ -22,12 +22,6 @@
 
 namespace vizq::tde {
 
-// A contiguous row range [start, start + count) of a table.
-struct RowRange {
-  int64_t start = 0;
-  int64_t count = 0;
-};
-
 class TableScanOperator : public Operator {
  public:
   // Scans `ranges` of `table` in list order, producing the columns in
@@ -73,8 +67,9 @@ class TableScanOperator : public Operator {
   int64_t range_end_ = 0;  // end of the current range or claimed morsel
   MorselQueuePtr morsels_;
   bool emit_encoded_ = false;
-  // Per-output-column resume cursors so kDelta scans are O(n), not O(n^2).
-  std::vector<Column::DecodeCursor> delta_cursors_;
+  // Per-output-column resume cursors: kRle runs and kDelta prefix sums
+  // are walked forward across pieces and batches, never searched again.
+  std::vector<Column::DecodeCursor> cursors_;
   BatchSchema schema_;
   ExecStats* stats_;
   ExecContext ctx_;

@@ -22,7 +22,7 @@ const char* EncodedSkipToString(EncodedSkip s) {
     case EncodedSkip::kNone: return "none";
     case EncodedSkip::kNoGroupKeys: return "no_group_keys";
     case EncodedSkip::kNotScanChain: return "not_scan_chain";
-    case EncodedSkip::kKeyNotDictionary: return "key_not_dictionary";
+    case EncodedSkip::kKeyNotDense: return "key_not_dense";
     case EncodedSkip::kCellCap: return "cell_cap";
     case EncodedSkip::kArgOverRle: return "arg_over_rle";
     case EncodedSkip::kConjunctOverRle: return "conjunct_over_rle";

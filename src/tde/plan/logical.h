@@ -55,7 +55,8 @@ enum class EncodedSkip : uint8_t {
   kNone = 0,          // took the dense path, or was not considered
   kNoGroupKeys,       // a scalar aggregate
   kNotScanChain,      // the input is not [Select]* over a Scan (a join...)
-  kKeyNotDictionary,  // a group key is not a bare dictionary-string column
+  kKeyNotDense,       // a group key is neither a bare dictionary-string
+                      // column nor a bare integer column with min/max
   kCellCap,           // gate 1: the dense cell space exceeds the cap
   kArgOverRle,        // gate 2: a computed argument reads an RLE column
   kConjunctOverRle,   // gate 3: a multi-column conjunct reads an RLE column
@@ -63,7 +64,7 @@ enum class EncodedSkip : uint8_t {
 };
 inline constexpr int kNumEncodedSkips = 8;
 
-// Short stable token, e.g. "key_not_dictionary"; used as the
+// Short stable token, e.g. "key_not_dense"; used as the
 // tde.encoded.skip.<reason> metric suffix and in EXPLAIN ANALYZE labels.
 const char* EncodedSkipToString(EncodedSkip s);
 
@@ -149,7 +150,8 @@ struct LogicalOp {
   // Dense token-indexed grouping (DESIGN.md §11), set by DecideEncodedExec.
   bool use_encoded_agg = false;
   std::vector<int> encoded_key_columns;    // child column index per key
-  std::vector<int64_t> encoded_key_cards;  // dictionary size per key
+  std::vector<int64_t> encoded_key_cards;  // domain size per key
+  std::vector<int64_t> encoded_key_mins;   // value of digit 1 per key
   int64_t encoded_cells = 1;               // prod(card + 1)
   EncodedSkip encoded_skip = EncodedSkip::kNone;
 

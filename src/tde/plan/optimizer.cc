@@ -1,6 +1,7 @@
 #include "src/tde/plan/optimizer.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/tde/plan/binder.h"
 #include "src/tde/plan/properties.h"
@@ -495,18 +496,24 @@ StatusOr<std::vector<int>> PruneNode(LogicalOpPtr* node,
     case LogicalKind::kAggregate: {
       int ngroups = static_cast<int>(op->group_by.size());
       // Group columns always stay (they define the grouping); unused
-      // aggregates are dropped.
+      // aggregates are dropped. A split pair's partial states are laid out
+      // by position, so a partial or final keeps every aggregate and a
+      // final keeps every input column.
+      const bool split = op->agg_phase != AggPhase::kComplete;
       std::vector<int> mapping(old_width, -1);
       std::vector<LogicalAgg> kept;
       for (int i = 0; i < ngroups; ++i) mapping[i] = i;
       for (int i = ngroups; i < old_width; ++i) {
-        if (required[i]) {
+        if (split) {
+          mapping[i] = i;
+        } else if (required[i]) {
           mapping[i] = ngroups + static_cast<int>(kept.size());
           kept.push_back(op->aggregates[i - ngroups]);
         }
       }
-      op->aggregates = std::move(kept);
-      std::vector<bool> child_req(op->children[0]->output.size(), false);
+      if (!split) op->aggregates = std::move(kept);
+      std::vector<bool> child_req(op->children[0]->output.size(),
+                                  op->agg_phase == AggPhase::kFinal);
       auto mark = [&](const ExprPtr& e) {
         std::vector<int> refs;
         e->CollectColumnIndices(&refs);
@@ -648,21 +655,51 @@ Status RleIndexPass(LogicalOpPtr* node, const OptimizerOptions& options) {
 // --- encoding-aware execution (DESIGN.md §11) ---
 
 // The pattern DecideEncodedExec looks for: Aggregate → [Select]* → Scan
-// (full or ranged) where every group key is a bare reference to a
-// dictionary-string column. `candidate` means the pattern matched; `skip`
-// names the first failed check (kNone when every gate passed too).
+// (full or ranged) where every group key is a bare reference to a column
+// with a small dense domain (DenseKeyDomain). `candidate` means the pattern
+// matched; `skip` names the first failed check (kNone when every gate
+// passed too).
 struct EncodedCandidate {
   bool candidate = false;
   EncodedSkip skip = EncodedSkip::kNone;
   LogicalOp* scan = nullptr;
   std::vector<LogicalOp*> selects;  // outermost first
   std::vector<int> key_columns;     // child-schema index per group key
-  std::vector<int64_t> key_cards;   // dictionary size per group key
+  std::vector<int64_t> key_cards;   // domain size per group key
+  std::vector<int64_t> key_mins;    // value of digit 1 per group key
   int64_t cells = 1;                // prod(card + 1)
-  bool all_keys_rle = false;        // every key column is storage-RLE
   // Classified conjuncts, parallel to `selects`.
   std::vector<std::vector<EncodedConjunct>> conjuncts;
 };
+
+// The dense domain of a group-key column: a dictionary's tokens [0, size),
+// or an integer payload's (bool, int64, date) [min, max] from its stats.
+// `card` saturates below INT64_MAX, far over any cell cap, so a wide span
+// never overflows. Stats of a loaded file are unchecked; the dense
+// aggregate rejects a value outside them at run time.
+bool DenseKeyDomain(const Column& col, int64_t* min, int64_t* card) {
+  if (col.is_dictionary_string()) {
+    *min = 0;
+    *card = col.dictionary()->size();
+    return true;
+  }
+  const TypeKind kind = col.type().kind;
+  const ColumnStats& stats = col.stats();
+  if ((kind != TypeKind::kBool && kind != TypeKind::kInt64 &&
+       kind != TypeKind::kDate) ||
+      !stats.has_min_max || !stats.min.is_int() || !stats.max.is_int() ||
+      stats.max.int_value() < stats.min.int_value()) {
+    return false;
+  }
+  const uint64_t span = static_cast<uint64_t>(stats.max.int_value()) -
+                        static_cast<uint64_t>(stats.min.int_value());
+  constexpr int64_t kMaxCard = std::numeric_limits<int64_t>::max() - 1;
+  *min = stats.min.int_value();
+  *card = span >= static_cast<uint64_t>(kMaxCard)
+              ? kMaxCard
+              : static_cast<int64_t>(span) + 1;
+  return true;
+}
 
 // Analyzes a non-final Aggregate.
 EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
@@ -694,18 +731,18 @@ EncodedCandidate AnalyzeEncodedCandidate(LogicalOp* op,
     return table.column(cur->scan_columns[child_col]).get();
   };
 
-  // Every group key must be a bare reference to a dict-string column.
-  cand.all_keys_rle = true;
+  // Every group key must be a bare reference to a dense-domain column.
   for (const NamedExpr& g : op->group_by) {
     const Column* col = g.expr->kind == ExprKind::kColumnRef
                             ? table_column(g.expr->column_index)
                             : nullptr;
-    if (col == nullptr || !col->is_dictionary_string()) {
-      return skip(EncodedSkip::kKeyNotDictionary);
+    int64_t min = 0, card = 0;
+    if (col == nullptr || !DenseKeyDomain(*col, &min, &card)) {
+      return skip(EncodedSkip::kKeyNotDense);
     }
     cand.key_columns.push_back(g.expr->column_index);
-    cand.key_cards.push_back(col->dictionary()->size());
-    if (!col->is_rle()) cand.all_keys_rle = false;
+    cand.key_cards.push_back(card);
+    cand.key_mins.push_back(min);
   }
   cand.candidate = true;
 
@@ -798,6 +835,7 @@ void DecideEncodedNode(const LogicalOpPtr& node,
       op->use_encoded_agg = true;
       op->encoded_key_columns = cand.key_columns;
       op->encoded_key_cards = cand.key_cards;
+      op->encoded_key_mins = cand.key_mins;
       op->encoded_cells = cand.cells;
       cand.scan->emit_encoded = true;
       for (size_t i = 0; i < cand.selects.size(); ++i) {
@@ -815,6 +853,123 @@ void DecideEncodedNode(const LogicalOpPtr& node,
   for (const LogicalOpPtr& c : op->children) {
     DecideEncodedNode(c, options, out);
   }
+}
+
+// --- aggregation below a join (DESIGN.md §11) ---
+
+// Rewrites Aggregate(G; A) over Join(L, R) into
+//   Aggregate[kFinal](G; A)
+//     Project [G..., partial states...]
+//       Join(Aggregate[kPartial](K_L ∪ G_L; A) over L, R)
+// where K_L are the join's left keys and G_L the group keys read from L,
+// when that partial runs dense over L's scan chain. Fact rows that agree
+// on K_L join exactly the same dimension rows, so one partial row stands
+// for all of them: the join repeats its states as often as it would have
+// repeated each row, NULL and unmatched keys included, and the final merge
+// sums the repeats. Hence every aggregate must be re-aggregable and read
+// only L.
+StatusOr<bool> TryAggregateBelowJoin(const LogicalOpPtr& agg,
+                                     const OptimizerOptions& options) {
+  if (agg->kind != LogicalKind::kAggregate ||
+      agg->agg_phase != AggPhase::kComplete ||
+      agg->children[0]->kind != LogicalKind::kJoin) {
+    return false;
+  }
+  LogicalOpPtr join = agg->children[0];
+  const LogicalOpPtr& left = join->children[0];
+  const int nleft = static_cast<int>(left->output.size());
+  for (const LogicalAgg& a : agg->aggregates) {
+    if (!IsReaggregable(a.func)) return false;
+    if (a.arg == nullptr) continue;
+    std::vector<int> refs;
+    a.arg->CollectColumnIndices(&refs);
+    for (int r : refs) {
+      if (r >= nleft) return false;
+    }
+  }
+  // The partial's keys: left columns, join keys first, each once.
+  std::vector<int> keys;
+  auto key_pos = [&keys](int c) {
+    return static_cast<int>(std::find(keys.begin(), keys.end(), c) -
+                            keys.begin());
+  };
+  auto add_key = [&](int c) {
+    if (key_pos(c) == static_cast<int>(keys.size())) keys.push_back(c);
+  };
+  for (const auto& [lk, rk] : join->join_keys) {
+    if (lk->kind != ExprKind::kColumnRef) return false;
+    add_key(lk->column_index);
+  }
+  for (const NamedExpr& g : agg->group_by) {
+    if (g.expr->kind != ExprKind::kColumnRef) return false;
+    if (g.expr->column_index < nleft) add_key(g.expr->column_index);
+  }
+
+  auto partial = std::make_shared<LogicalOp>();
+  partial->kind = LogicalKind::kAggregate;
+  partial->agg_phase = AggPhase::kPartial;
+  partial->children = {left};
+  partial->bound = true;
+  for (int c : keys) {
+    partial->group_by.push_back(
+        NamedExpr{left->output[c].name, ColIdx(c, left->output[c].type)});
+  }
+  partial->aggregates = agg->aggregates;
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(partial.get()));
+  if (AnalyzeEncodedCandidate(partial.get(), options).skip !=
+      EncodedSkip::kNone) {
+    return false;
+  }
+
+  for (auto& [lk, rk] : join->join_keys) {
+    lk = ColIdx(key_pos(lk->column_index), lk->result_type);
+  }
+  join->children[0] = partial;
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(join.get()));
+
+  // [G..., states...]: the positional input a final aggregate reads.
+  const int nkeys = static_cast<int>(keys.size());
+  const int npartial = static_cast<int>(partial->output.size());
+  auto project = std::make_shared<LogicalOp>();
+  project->kind = LogicalKind::kProject;
+  project->children = {join};
+  project->bound = true;
+  for (const NamedExpr& g : agg->group_by) {
+    int c = g.expr->column_index;
+    int at = c < nleft ? key_pos(c) : npartial + (c - nleft);
+    project->projections.push_back(
+        NamedExpr{g.name, ColIdx(at, g.expr->result_type)});
+  }
+  for (int c = nkeys; c < npartial; ++c) {
+    project->projections.push_back(NamedExpr{
+        partial->output[c].name, ColIdx(c, partial->output[c].type)});
+  }
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(project.get()));
+
+  const int ngroups = static_cast<int>(agg->group_by.size());
+  for (int i = 0; i < ngroups; ++i) {
+    agg->group_by[i].expr = ColIdx(i, project->output[i].type);
+  }
+  int col = ngroups;
+  for (LogicalAgg& a : agg->aggregates) {
+    const int width =
+        static_cast<int>(PartialStateColumns({a.func, a.arg, a.name}).size());
+    a.arg = ColIdx(col, project->output[col].type);
+    col += width;
+  }
+  agg->agg_phase = AggPhase::kFinal;
+  agg->children[0] = project;
+  VIZQ_RETURN_IF_ERROR(DeriveOutput(agg.get()));
+  return true;
+}
+
+Status AggregateBelowJoinPass(const LogicalOpPtr& node,
+                              const OptimizerOptions& options) {
+  VIZQ_RETURN_IF_ERROR(TryAggregateBelowJoin(node, options).status());
+  for (const LogicalOpPtr& c : node->children) {
+    VIZQ_RETURN_IF_ERROR(AggregateBelowJoinPass(c, options));
+  }
+  return OkStatus();
 }
 
 // --- streaming aggregate selection ---
@@ -896,6 +1051,9 @@ Status OptimizePlan(LogicalOpPtr* root, const OptimizerOptions& options) {
     }
   }
   VIZQ_RETURN_IF_ERROR(RleIndexPass(root, options));
+  if (options.enable_encoded_exec) {
+    VIZQ_RETURN_IF_ERROR(AggregateBelowJoinPass(*root, options));
+  }
   if (options.enable_streaming_agg) {
     VIZQ_RETURN_IF_ERROR(StreamingAggPass(root));
   }

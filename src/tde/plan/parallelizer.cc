@@ -72,7 +72,16 @@ StatusOr<int> Par(LogicalOpPtr* node, Ctx& ctx);
 StatusOr<int> ParAggregate(LogicalOpPtr* node, Ctx& ctx) {
   LogicalOpPtr op = *node;
   VIZQ_ASSIGN_OR_RETURN(int child_dop, Par(&op->children[0], ctx));
+  // A pair the optimizer already split (aggregation below a join): the
+  // partial runs in every fraction, and the final closes parallelism the
+  // way the local/global split's final does.
+  if (op->agg_phase == AggPhase::kPartial) return child_dop;
   if (child_dop <= 1) return 1;
+  if (op->agg_phase == AggPhase::kFinal) {
+    op->children[0] = MakeExchange(child_dop, op->children[0]);
+    op->merge_dop = ctx.opts.enable_parallel_merge ? child_dop : 1;
+    return 1;
+  }
 
   // --- §4.2.3: remove the global aggregate via range partitioning ---
   if (ctx.opts.enable_range_partition && !op->group_by.empty()) {

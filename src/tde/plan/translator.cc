@@ -186,6 +186,11 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
       }
       std::vector<ExprPtr> left_keys;
       for (const auto& [lk, rk] : op.join_keys) left_keys.push_back(lk);
+      if (stats_ != nullptr &&
+          op.children[0]->kind == LogicalKind::kAggregate &&
+          op.children[0]->agg_phase == AggPhase::kPartial) {
+        stats_->used_agg_below_join = true;
+      }
       return OperatorPtr(std::make_unique<HashJoinOperator>(
           std::move(left), std::move(build), std::move(left_keys),
           op.join_type, ctx_));
@@ -209,7 +214,8 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
             std::move(child), std::move(groups), std::move(specs), ctx_));
       }
       AggPhase phase = op.agg_phase;
-      if (stats_ != nullptr && phase == AggPhase::kFinal) {
+      if (stats_ != nullptr && phase == AggPhase::kFinal &&
+          op.children[0]->kind == LogicalKind::kExchange) {
         stats_->used_local_global_agg = true;
       }
       auto agg = std::make_unique<HashAggregateOperator>(
@@ -226,6 +232,7 @@ StatusOr<OperatorPtr> Translator::TranslateNodeImpl(const LogicalOp& op,
         config.enabled = true;
         config.key_columns = op.encoded_key_columns;
         config.key_cards = op.encoded_key_cards;
+        config.key_mins = op.encoded_key_mins;
         config.total_cells = op.encoded_cells;
         agg->EnableDenseGroups(std::move(config), stats_);
         if (stats_ != nullptr) stats_->used_encoded_path = true;

@@ -95,30 +95,55 @@ Value Column::GetValue(int64_t row) const {
   return Value::Null();
 }
 
-void Column::DecodeRaw(int64_t start, int64_t count, int64_t* dst) const {
-  switch (encoding_) {
-    case Encoding::kPlain:
-    case Encoding::kDictionary:
-      std::memcpy(dst, ints_.data() + start, count * sizeof(int64_t));
-      return;
-    case Encoding::kRle: {
-      // Locate the first overlapping run, then emit run-by-run.
-      const RleRun* run = FindRun(runs_, start);
-      int64_t idx = run != nullptr ? run - runs_.data() : 0;
-      int64_t produced = 0;
-      while (produced < count &&
-             idx < static_cast<int64_t>(runs_.size())) {
-        const RleRun& r = runs_[idx];
-        int64_t from = std::max(start + produced, r.start);
-        int64_t to = std::min(start + count, r.start + r.count);
-        for (int64_t row = from; row < to; ++row) dst[produced++] = r.value;
-        ++idx;
+size_t Column::SeekRun(const DecodeCursor& cursor, int64_t row) const {
+  size_t idx = cursor.run;
+  if (idx >= runs_.size() || row < runs_[idx].start) {
+    const RleRun* run = FindRun(runs_, row);
+    return run != nullptr ? static_cast<size_t>(run - runs_.data()) : 0;
+  }
+  while (idx + 1 < runs_.size() && runs_[idx].start + runs_[idx].count <= row) {
+    ++idx;
+  }
+  return idx;
+}
+
+void Column::DecodeRaw(DecodeCursor* cursor, std::span<const RowRange> pieces,
+                       int64_t* dst) const {
+  for (const RowRange& p : pieces) {
+    if (p.count <= 0) continue;
+    switch (encoding_) {
+      case Encoding::kPlain:
+      case Encoding::kDictionary:
+        std::memcpy(dst, ints_.data() + p.start, p.count * sizeof(int64_t));
+        break;
+      case Encoding::kRle: {
+        // Emit run by run from the run holding the piece's first row.
+        size_t idx = SeekRun(*cursor, p.start);
+        const int64_t end = p.start + p.count;
+        int64_t* out = dst;
+        for (int64_t row = p.start; row < end && idx < runs_.size(); ++idx) {
+          const RleRun& r = runs_[idx];
+          const int64_t to = std::min(end, r.start + r.count);
+          out = std::fill_n(out, to - row, r.value);
+          row = to;
+          if (row == end) break;
+        }
+        cursor->run = std::min(idx, runs_.size() - 1);
+        break;
       }
-      return;
+      case Encoding::kDelta:
+        // A fresh cursor ({0, 0}) was never seeded: row 0 of a delta
+        // column is delta_base_, not the zero-initialized acc.
+        if (cursor->next_row == 0 || p.start < cursor->next_row) {
+          cursor->next_row = 0;
+          cursor->acc = delta_base_;
+        }
+        cursor->acc =
+            DecodeDeltas(cursor->next_row, cursor->acc, p.start, p.count, dst);
+        cursor->next_row = p.start + p.count;
+        break;
     }
-    case Encoding::kDelta:
-      DecodeDeltas(0, delta_base_, start, count, dst);
-      return;
+    dst += p.count;
   }
 }
 
@@ -133,28 +158,53 @@ int64_t Column::DecodeDeltas(int64_t from, int64_t acc, int64_t start,
   return acc;
 }
 
-void Column::DecodeInts(int64_t start, int64_t count,
-                        std::vector<int64_t>* out) const {
-  if (count <= 0) return;
-  size_t at = out->size();
-  out->resize(at + count);
-  DecodeRaw(start, count, out->data() + at);
+namespace {
+
+int64_t TotalRows(std::span<const RowRange> pieces) {
+  int64_t total = 0;
+  for (const RowRange& p : pieces) total += std::max<int64_t>(p.count, 0);
+  return total;
 }
 
-void Column::DecodeDoubles(int64_t start, int64_t count,
-                           std::vector<double>* out) const {
-  if (count <= 0) return;
+}  // namespace
+
+void Column::DecodeInts(int64_t start, int64_t count,
+                        std::vector<int64_t>* out) const {
+  DecodeCursor cursor;
+  const RowRange piece{start, count};
+  DecodeIntsResumable(&cursor, {&piece, 1}, out);
+}
+
+void Column::DecodeIntsResumable(DecodeCursor* cursor,
+                                 std::span<const RowRange> pieces,
+                                 std::vector<int64_t>* out) const {
+  const int64_t total = TotalRows(pieces);
+  if (total == 0) return;
   size_t at = out->size();
-  out->resize(at + count);
+  out->resize(at + total);
+  DecodeRaw(cursor, pieces, out->data() + at);
+}
+
+void Column::DecodeDoubles(DecodeCursor* cursor,
+                           std::span<const RowRange> pieces,
+                           std::vector<double>* out) const {
+  const int64_t total = TotalRows(pieces);
+  if (total == 0) return;
+  size_t at = out->size();
+  out->resize(at + total);
   if (encoding_ == Encoding::kPlain) {
-    std::memcpy(out->data() + at, doubles_.data() + start,
-                count * sizeof(double));
+    double* dst = out->data() + at;
+    for (const RowRange& p : pieces) {
+      if (p.count <= 0) continue;
+      std::memcpy(dst, doubles_.data() + p.start, p.count * sizeof(double));
+      dst += p.count;
+    }
     return;
   }
   // RLE/delta doubles travel through the int payload as bit patterns.
-  std::vector<int64_t> raw(count);
-  DecodeRaw(start, count, raw.data());
-  for (int64_t i = 0; i < count; ++i) (*out)[at + i] = BitsToDouble(raw[i]);
+  std::vector<int64_t> raw(total);
+  DecodeRaw(cursor, pieces, raw.data());
+  for (int64_t i = 0; i < total; ++i) (*out)[at + i] = BitsToDouble(raw[i]);
 }
 
 void Column::DecodeStrings(int64_t start, int64_t count,
@@ -163,8 +213,8 @@ void Column::DecodeStrings(int64_t start, int64_t count,
   size_t at = out->size();
   out->resize(at + count);
   if (dictionary_ != nullptr) {
-    std::vector<int64_t> tokens(count);
-    DecodeRaw(start, count, tokens.data());
+    std::vector<int64_t> tokens;
+    DecodeInts(start, count, &tokens);
     for (int64_t i = 0; i < count; ++i) {
       if (!IsNull(start + i)) (*out)[at + i] = dictionary_->value(tokens[i]);
     }
@@ -174,58 +224,48 @@ void Column::DecodeStrings(int64_t start, int64_t count,
             out->begin() + at);
 }
 
-void Column::DecodeNulls(int64_t start, int64_t count, int64_t at,
+void Column::DecodeNulls(std::span<const RowRange> pieces, int64_t at,
                          std::vector<uint8_t>* out) const {
-  if (count <= 0) return;
   if (nulls_.empty()) {
-    if (!out->empty()) out->resize(out->size() + count, 0);
+    if (!out->empty()) out->resize(out->size() + TotalRows(pieces), 0);
     return;
   }
-  auto first = nulls_.begin() + start;
-  auto last = first + count;
-  if (out->empty()) {
-    if (std::all_of(first, last, [](uint8_t b) { return b == 0; })) return;
-    out->assign(at, 0);
+  for (const RowRange& p : pieces) {
+    if (p.count <= 0) continue;
+    auto first = nulls_.begin() + p.start;
+    auto last = first + p.count;
+    if (out->empty()) {
+      if (std::all_of(first, last, [](uint8_t b) { return b == 0; })) {
+        at += p.count;
+        continue;
+      }
+      out->assign(at, 0);
+    }
+    out->insert(out->end(), first, last);
+    at += p.count;
   }
-  out->insert(out->end(), first, last);
 }
 
-void Column::DecodeIntsResumable(DecodeCursor* cursor, int64_t start,
-                                 int64_t count,
-                                 std::vector<int64_t>* out) const {
-  if (encoding_ != Encoding::kDelta || cursor == nullptr) {
-    DecodeInts(start, count, out);
-    return;
-  }
-  if (count <= 0) return;
-  // A fresh cursor ({0, 0}) was never seeded: row 0 of a delta column is
-  // delta_base_, not the zero-initialized acc.
-  if (cursor->next_row == 0 || start < cursor->next_row) {
-    cursor->next_row = 0;
-    cursor->acc = delta_base_;
-  }
-  size_t at = out->size();
-  out->resize(at + count);
-  cursor->acc = DecodeDeltas(cursor->next_row, cursor->acc, start, count,
-                             out->data() + at);
-  cursor->next_row = start + count;
-}
-
-int64_t Column::EmitRuns(int64_t start, int64_t count,
+int64_t Column::EmitRuns(DecodeCursor* cursor,
+                         std::span<const RowRange> pieces,
                          std::vector<RleRun>* out) const {
-  if (count <= 0) return 0;
-  const RleRun* run = FindRun(runs_, start);
-  int64_t idx = run != nullptr ? run - runs_.data() : 0;
   int64_t emitted = 0;
-  int64_t end = start + count;
-  while (idx < static_cast<int64_t>(runs_.size())) {
-    const RleRun& r = runs_[idx];
-    int64_t from = std::max(start, r.start);
-    int64_t to = std::min(end, r.start + r.count);
-    if (from >= to) break;
-    out->push_back(RleRun{r.value, from - start, to - from});
-    ++emitted;
-    ++idx;
+  int64_t base = 0;  // the piece's first row, counted across the pieces
+  for (const RowRange& p : pieces) {
+    if (p.count <= 0) continue;
+    size_t idx = SeekRun(*cursor, p.start);
+    const int64_t end = p.start + p.count;
+    for (; idx < runs_.size(); ++idx) {
+      const RleRun& r = runs_[idx];
+      const int64_t from = std::max(p.start, r.start);
+      const int64_t to = std::min(end, r.start + r.count);
+      if (from >= to) break;
+      out->push_back(RleRun{r.value, base + from - p.start, to - from});
+      ++emitted;
+      if (to == end) break;
+    }
+    cursor->run = std::min(idx, runs_.size() - 1);
+    base += p.count;
   }
   return emitted;
 }

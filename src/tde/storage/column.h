@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +54,12 @@ const char* EncodingToString(Encoding e);
 // IndexTable exposes (§4.3).
 struct RleRun {
   int64_t value = 0;  // payload (or dictionary token); doubles are bit-cast
+  int64_t start = 0;
+  int64_t count = 0;
+};
+
+// A contiguous row range [start, start + count) of a column or table.
+struct RowRange {
   int64_t start = 0;
   int64_t count = 0;
 };
@@ -108,52 +115,57 @@ class Column {
   // the bulk decoders below).
   Value GetValue(int64_t row) const;
 
-  // The bulk decoders append rows [start, start+count) to `out`, so a scan
-  // can fill one batch from several row ranges. Null rows decode to 0 (or
-  // an empty string); their flags come from DecodeNulls.
+  // The bulk decoders append rows to `out`, so a scan can fill one batch
+  // from several row ranges. Null rows decode to 0 (or an empty string);
+  // their flags come from DecodeNulls.
 
-  // Appends the int64 payload (bool/int64/date columns, or dictionary
-  // *tokens* for encoded strings).
+  // Appends the int64 payload of rows [start, start+count) (bool/int64/
+  // date columns, or dictionary *tokens* for encoded strings).
   void DecodeInts(int64_t start, int64_t count,
                   std::vector<int64_t>* out) const;
 
-  // Appends the float64 payload.
-  void DecodeDoubles(int64_t start, int64_t count,
-                     std::vector<double>* out) const;
-
-  // Appends string rows (plain string columns only; dictionary string
-  // columns should be scanned as tokens + dictionary()).
+  // Appends string rows [start, start+count) (plain string columns only;
+  // dictionary string columns should be scanned as tokens + dictionary()).
   void DecodeStrings(int64_t start, int64_t count,
                      std::vector<std::string>* out) const;
 
-  // Appends the null flags of rows [start, start+count) to `out`, the mask
-  // of a vector that already holds `at` rows, in ColumnVector's "no nulls"
-  // convention: an empty mask means no nulls so far. `out` stays empty
-  // until the first null, and is then padded with `at` zeros.
-  void DecodeNulls(int64_t start, int64_t count, int64_t at,
-                   std::vector<uint8_t>* out) const;
-
-  // Streaming decode state for DecodeIntsResumable: carries the delta
-  // prefix sum across decodes so a scan of ascending row ranges is O(n)
-  // instead of O(n^2) (DecodeInts recomputes the prefix from row 0 on
-  // every call).
+  // Streaming decode state for the piece decoders below: where the last
+  // decode ended, so a scan of ascending row ranges walks runs and deltas
+  // forward once, O(n) in all, with no per-range search or re-summing.
   struct DecodeCursor {
-    int64_t next_row = 0;
-    int64_t acc = 0;  // value of row next_row (kDelta only)
+    int64_t next_row = 0;  // row after the last decode (kDelta only)
+    int64_t acc = 0;       // value of row next_row (kDelta only)
+    size_t run = 0;        // run holding the last decoded row (kRle only)
   };
 
-  // DecodeInts with a resume cursor. Equivalent output; on a kDelta column
-  // a `start` at or past cursor->next_row continues the prefix sum from
-  // the cursor, and a start before it (a morsel claimed out of order)
-  // re-seeds from row 0.
-  void DecodeIntsResumable(DecodeCursor* cursor, int64_t start, int64_t count,
+  // The piece decoders append the rows of `pieces` — row ranges in
+  // ascending order, such as one scan batch's — one piece after another,
+  // in one call. A piece that starts before the cursor (a morsel claimed
+  // out of order) re-seeds it: a binary search over kRle runs, the prefix
+  // sum from row 0 over kDelta deltas.
+
+  // Appends the int payload (as DecodeInts).
+  void DecodeIntsResumable(DecodeCursor* cursor,
+                           std::span<const RowRange> pieces,
                            std::vector<int64_t>* out) const;
 
-  // Emits the kRle runs overlapping rows [start, start+count), clipped to
-  // the range and rebased so run starts are relative to `start`. Runs are
-  // contiguous, non-empty, and cover [0, count). Returns the number of
-  // runs appended. Valid only for is_rle() columns.
-  int64_t EmitRuns(int64_t start, int64_t count,
+  // Appends the float64 payload.
+  void DecodeDoubles(DecodeCursor* cursor, std::span<const RowRange> pieces,
+                     std::vector<double>* out) const;
+
+  // Appends the null flags to `out`, the mask of a vector that already
+  // holds `at` rows, in ColumnVector's "no nulls" convention: an empty
+  // mask means no nulls so far. `out` stays empty until the first null,
+  // and is then padded with zeros for the rows before it.
+  void DecodeNulls(std::span<const RowRange> pieces, int64_t at,
+                   std::vector<uint8_t>* out) const;
+
+  // Emits the kRle runs overlapping each piece, clipped to it and rebased
+  // so run starts count from the first piece's first row, as if the
+  // pieces were contiguous. Runs are non-empty and cover
+  // [0, total piece rows). Returns the number of runs appended. Valid
+  // only for is_rle() columns.
+  int64_t EmitRuns(DecodeCursor* cursor, std::span<const RowRange> pieces,
                    std::vector<RleRun>* out) const;
 
   // Encoding-aware three-way comparison of rows `a` and `b` without
@@ -188,8 +200,13 @@ class Column {
   friend class ColumnBuilder;
   friend class ColumnSerializer;
 
-  // Writes the raw int payload of rows [start, start+count) to `dst`.
-  void DecodeRaw(int64_t start, int64_t count, int64_t* dst) const;
+  // Writes the raw int payload of the pieces to `dst`, resuming from and
+  // advancing `cursor`.
+  void DecodeRaw(DecodeCursor* cursor, std::span<const RowRange> pieces,
+                 int64_t* dst) const;
+  // kRle: the index of the run holding `row`, walking forward from the
+  // cursor's run (binary search when `row` lies before it).
+  size_t SeekRun(const DecodeCursor& cursor, int64_t row) const;
   // kDelta: writes rows [start, start+count) to `dst`, summing the deltas
   // on from `acc`, the value of row `from` <= start. Returns the value of
   // row start+count.

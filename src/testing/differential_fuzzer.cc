@@ -205,7 +205,8 @@ std::string FuzzReport::Summary() const {
   std::ostringstream os;
   os << "differential fuzz: " << iterations_run << " iterations, "
      << queries_generated << " queries, " << lane_checks << " lane checks, "
-     << failures.size() << " failure(s)";
+     << failures.size() << " failure(s), " << agg_below_join
+     << " join lane run(s) aggregated below the join";
   for (const FuzzFailure& f : failures) {
     os << "\n--- FAILURE ---\n" << f.ToString();
   }
@@ -325,8 +326,10 @@ FuzzReport RunDifferentialFuzz(const FuzzOptions& options) {
     // oracle join (join_fuzz.h). No minimizer entry: the case description
     // rides in the failure detail, and the fingerprint dedups per case. ---
     if (options.join_lane) {
-      JoinFuzzCase jc = GenerateJoinCase(ds, rng);
-      auto checks = RunJoinLanes(ds, jc, options.diff);
+      Rng filter_rng(HashCombine(iter_seed, 0x5e1ec7));
+      JoinFuzzCase jc = GenerateJoinCase(ds, rng, filter_rng);
+      auto checks =
+          RunJoinLanes(ds, jc, options.diff, &report.agg_below_join);
       report.lane_checks += static_cast<int64_t>(checks.size());
       RecordFailures(checks, iter, dataset_seed,
                      HashCombine(iter_seed, 0x107a9), {}, ds, lane_options,

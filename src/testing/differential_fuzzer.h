@@ -73,6 +73,9 @@ struct FuzzReport {
   int iterations_run = 0;
   int queries_generated = 0;
   int64_t lane_checks = 0;
+  // Join-lane executions whose join probed partial aggregates
+  // (ExecStats::used_agg_below_join).
+  int64_t agg_below_join = 0;
   std::vector<FuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }

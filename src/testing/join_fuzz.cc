@@ -7,6 +7,7 @@
 
 #include "src/tde/engine.h"
 #include "src/tde/exec/expression.h"
+#include "src/testing/query_gen.h"
 #include "src/testing/reference_oracle.h"
 #include "src/testing/table_diff.h"
 
@@ -42,7 +43,7 @@ std::string JoinFuzzCase::Describe() const {
          agg.ToKeyString();
 }
 
-JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng) {
+JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng, Rng& filter_rng) {
   JoinFuzzCase jc;
   jc.join_type = rng.Chance(0.5) ? tde::JoinType::kInner
                                  : tde::JoinType::kLeftOuter;
@@ -74,13 +75,24 @@ JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng) {
   if (rng.Chance(0.3)) qb.CountAll();
 
   jc.agg = qb.Build();
+  if (filter_rng.Chance(0.5)) {
+    std::vector<std::string> columns = ds.all_columns();
+    const std::string& column = columns[filter_rng.Below(columns.size())];
+    jc.agg.filters.predicates.push_back(
+        RandomPredicate(ds, column, filter_rng));
+    jc.agg.Canonicalize();
+  }
   return jc;
 }
 
 tde::LogicalOpPtr BuildJoinPlan(const Dataset& ds, const JoinFuzzCase& jc) {
-  tde::LogicalOpPtr join = tde::MakeJoin(
-      jc.join_type, {{tde::Col("d0"), tde::Col("k")}}, tde::MakeScan(ds.table),
-      tde::MakeScan(ds.dim_table));
+  tde::LogicalOpPtr fact = tde::MakeScan(ds.table);
+  if (!jc.agg.filters.predicates.empty()) {
+    fact = tde::MakeSelect(jc.agg.filters.ToExpr(), std::move(fact));
+  }
+  tde::LogicalOpPtr join =
+      tde::MakeJoin(jc.join_type, {{tde::Col("d0"), tde::Col("k")}},
+                    std::move(fact), tde::MakeScan(ds.dim_table));
   std::vector<tde::NamedExpr> groups;
   for (const std::string& d : jc.agg.dimensions) {
     groups.push_back({d, tde::Col(d)});
@@ -144,7 +156,8 @@ StatusOr<ResultTable> OracleJoinExecute(const Dataset& ds,
 }
 
 std::vector<LaneCheck> RunJoinLanes(const Dataset& ds, const JoinFuzzCase& jc,
-                                    const DiffOptions& diff) {
+                                    const DiffOptions& diff,
+                                    int64_t* agg_below_join) {
   std::vector<LaneCheck> out;
   const std::string key = jc.Describe();
   StatusOr<ResultTable> oracle = OracleJoinExecute(ds, jc);
@@ -169,6 +182,7 @@ std::vector<LaneCheck> RunJoinLanes(const Dataset& ds, const JoinFuzzCase& jc,
           key});
       return;
     }
+    if (result->stats->used_agg_below_join) ++*agg_below_join;
     DiffResult d = DiffTables(*oracle, result->table, diff);
     std::string detail =
         d.equivalent ? "" : d.message + " [case: " + key + "]";

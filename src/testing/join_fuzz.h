@@ -35,6 +35,8 @@ namespace vizq::testing {
 // One generated join case: the join shape plus an aggregation whose
 // dimensions/measures name columns of the joined schema (fact columns
 // d0..m1 and dimension columns k, p — no name collisions by construction).
+// `agg.filters` holds at most one predicate on a fact column, applied by a
+// Select on the fact scan.
 struct JoinFuzzCase {
   tde::JoinType join_type = tde::JoinType::kInner;
   query::AbstractQuery agg;
@@ -44,10 +46,12 @@ struct JoinFuzzCase {
 
 // Deterministic in `rng`: group-by over 0–2 of {d0, d1, d2, k} with 1–2
 // aggregates over {m0, m1, p} (SUM/MIN/MAX/COUNT/AVG/COUNTD) and an
-// occasional COUNT(*).
-JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng);
+// occasional COUNT(*). Half the cases also get a fact-side predicate,
+// drawn from `filter_rng` alone so `rng` yields the same shapes either way.
+JoinFuzzCase GenerateJoinCase(const Dataset& ds, Rng& rng, Rng& filter_rng);
 
-// The logical plan: Aggregate(agg) over Join(Scan(fact), Scan(dim)).
+// The logical plan: Aggregate(agg) over Join([Select] Scan(fact),
+// Scan(dim)).
 tde::LogicalOpPtr BuildJoinPlan(const Dataset& ds, const JoinFuzzCase& jc);
 
 // Nested-loop reference: materializes the join row-at-a-time (NULL keys
@@ -57,9 +61,12 @@ StatusOr<ResultTable> OracleJoinExecute(const Dataset& ds,
                                         const JoinFuzzCase& jc);
 
 // Runs the case through the serial, forced-parallel and forced-plain
-// engines, diffing each against the nested-loop oracle.
+// engines, diffing each against the nested-loop oracle. Adds to
+// `*agg_below_join` the executions whose join probed partial aggregates
+// (ExecStats::used_agg_below_join).
 std::vector<LaneCheck> RunJoinLanes(const Dataset& ds, const JoinFuzzCase& jc,
-                                    const DiffOptions& diff);
+                                    const DiffOptions& diff,
+                                    int64_t* agg_below_join);
 
 }  // namespace vizq::testing
 

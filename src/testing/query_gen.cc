@@ -44,6 +44,8 @@ Measure RandomMeasure(const Dataset& ds, Rng& rng) {
   return m;
 }
 
+}  // namespace
+
 ColumnPredicate RandomPredicate(const Dataset& ds, const std::string& column,
                                 Rng& rng) {
   const std::vector<Value>& pool = ds.pools.at(column);
@@ -81,8 +83,6 @@ ColumnPredicate RandomPredicate(const Dataset& ds, const std::string& column,
   return ColumnPredicate::Range(column, lower, upper, rng.Chance(0.8),
                                 rng.Chance(0.8));
 }
-
-}  // namespace
 
 AbstractQuery GenerateQuery(const Dataset& ds, Rng& rng) {
   AbstractQuery q;

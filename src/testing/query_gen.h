@@ -20,6 +20,11 @@
 
 namespace vizq::testing {
 
+// A random IN-set or range predicate on `column` of `ds`, drawn from the
+// column's literal pool.
+query::ColumnPredicate RandomPredicate(const Dataset& ds,
+                                       const std::string& column, Rng& rng);
+
 // Generates one random query against `ds`. Always satisfiable by every
 // lane: at least one dimension or measure; limit only with order-by.
 query::AbstractQuery GenerateQuery(const Dataset& ds, Rng& rng);

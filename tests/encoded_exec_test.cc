@@ -241,6 +241,82 @@ TEST(EncodedExecTest, DeltaColumnBeyondInt32SumsExactly) {
   EXPECT_EQ(on->table.at(0, 0).int_value(), expect);
 }
 
+// A table of integer group keys over small domains:
+//   neg  int64 plain, -4..4, nulls every 11th row (negative min)
+//   ri   int64 forced kRle, runs of 50 over 100..105, a null run every 7th
+//   b    bool plain, every third row true
+//   d    date plain, 16000..16004
+//   k    string dict, cardinality 3
+//   v    int64 plain measure
+std::shared_ptr<Database> MakeIntKeyDb(int64_t rows) {
+  std::vector<ColumnInfo> schema = {
+      {"neg", DataType::Int64()}, {"ri", DataType::Int64()},
+      {"b", DataType::Bool()},    {"d", DataType::Date()},
+      {"k", DataType::String()},  {"v", DataType::Int64()},
+  };
+  TableBuilder builder("ints", schema);
+  builder.SetEncodingChoice(1, EncodingChoice::kForceRle);
+  for (int64_t i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    row.push_back(i % 11 == 0 ? Value::Null() : Value(i % 9 - 4));
+    row.push_back((i / 50) % 7 == 6 ? Value::Null()
+                                    : Value(100 + (i / 50) % 6));
+    row.emplace_back(i % 3 == 0);
+    row.emplace_back(static_cast<int64_t>(16000 + i % 5));
+    static const char* const kKeys[] = {"k0", "k1", "k2"};
+    row.emplace_back(kKeys[i % 3]);
+    row.emplace_back(i % 17);
+    (void)builder.AddRow(row);
+  }
+  auto db = std::make_shared<Database>("intdb");
+  (void)db->AddTable(*builder.Finish());
+  return db;
+}
+
+TEST(EncodedExecTest, IntegerKeysGroupDense) {
+  TdeEngine engine(MakeIntKeyDb(3000));
+  for (const char* groups : {"(neg neg)", "(ri ri)", "(b b)", "(d d)",
+                             "(k k) (neg neg)", "(ri ri) (k k)"}) {
+    std::string tql = "(aggregate (";
+    tql.append(groups).append(
+        ") ((n count*) (sv sum v) (mv min v)) (scan ints))");
+    SCOPED_TRACE(tql);
+    QueryResult on = DiffEncodedVsRow(engine, tql);
+    ASSERT_NE(on.stats, nullptr);
+    EXPECT_EQ(on.stats->encoded_plans, 1);
+    EXPECT_EQ(on.stats->encoded_fallbacks, 0);
+  }
+}
+
+TEST(EncodedExecTest, IntegerKeysUnderEncodedFilter) {
+  TdeEngine engine(MakeIntKeyDb(3000));
+  QueryResult on = DiffEncodedVsRow(
+      engine,
+      "(aggregate ((d d) (k k)) ((n count*) (sv sum v)) "
+      "(select (and (> ri 101) (= k \"k1\")) (scan ints)))");
+  ASSERT_NE(on.stats, nullptr);
+  EXPECT_EQ(on.stats->encoded_plans, 1);
+}
+
+// `neg` spans 9 values, so it needs 10 cells: at a cap of 10 it groups
+// dense, one under it falls back on the cell cap with the same answer.
+TEST(EncodedExecTest, IntegerDomainOnePastTheCapFallsBack) {
+  TdeEngine engine(MakeIntKeyDb(3000));
+  const std::string tql =
+      "(aggregate ((neg neg)) ((n count*)) (scan ints))";
+  auto off = engine.Execute(tql, EncodedOff());
+  ASSERT_TRUE(off.ok()) << off.status();
+  for (int64_t cap : {10, 9}) {
+    QueryOptions options = EncodedOn();
+    options.optimizer.encoded_group_cells_max = cap;
+    auto on = engine.Execute(tql, options);
+    ASSERT_TRUE(on.ok()) << on.status();
+    EXPECT_TRUE(TablesEquivalent(off->table, on->table)) << cap;
+    EXPECT_EQ(on->stats->encoded_plans, cap == 10 ? 1 : 0) << cap;
+    EXPECT_EQ(on->stats->encoded_fallbacks, cap == 10 ? 0 : 1) << cap;
+  }
+}
+
 // --- storage helpers ---
 
 TEST(EncodedExecTest, EmitRunsClipsAndRebases) {
@@ -250,8 +326,12 @@ TEST(EncodedExecTest, EmitRunsClipsAndRebases) {
   ASSERT_TRUE(r.is_rle());
 
   std::vector<RleRun> runs;
+  auto emit = [&r, &runs](std::vector<RowRange> pieces) {
+    Column::DecodeCursor cursor;
+    return r.EmitRuns(&cursor, pieces, &runs);
+  };
   // Range inside a single run.
-  EXPECT_EQ(r.EmitRuns(120, 30, &runs), 1);
+  EXPECT_EQ(emit({{120, 30}}), 1);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].value, 1);
   EXPECT_EQ(runs[0].start, 0);
@@ -260,7 +340,7 @@ TEST(EncodedExecTest, EmitRunsClipsAndRebases) {
   // Range crossing two boundaries: clipped head and tail, contiguous,
   // covering [0, count).
   runs.clear();
-  EXPECT_EQ(r.EmitRuns(150, 250, &runs), 3);
+  EXPECT_EQ(emit({{150, 250}}), 3);
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0].value, 1);
   EXPECT_EQ(runs[0].start, 0);
@@ -274,27 +354,68 @@ TEST(EncodedExecTest, EmitRunsClipsAndRebases) {
 
   // Empty range emits no runs.
   runs.clear();
-  EXPECT_EQ(r.EmitRuns(150, 0, &runs), 0);
+  EXPECT_EQ(emit({{150, 0}}), 0);
   EXPECT_TRUE(runs.empty());
+
+  // Several pieces in one call: each clipped, rebased to where it lands.
+  runs.clear();
+  EXPECT_EQ(emit({{10, 20}, {190, 20}, {400, 5}}), 4);
+  ASSERT_EQ(runs.size(), 4u);
+  EXPECT_EQ(runs[0].value, 0);
+  EXPECT_EQ(runs[0].start, 0);
+  EXPECT_EQ(runs[0].count, 20);
+  EXPECT_EQ(runs[1].value, 1);
+  EXPECT_EQ(runs[1].start, 20);
+  EXPECT_EQ(runs[1].count, 10);
+  EXPECT_EQ(runs[2].value, 2);
+  EXPECT_EQ(runs[2].start, 30);
+  EXPECT_EQ(runs[2].count, 10);
+  EXPECT_EQ(runs[3].value, 4);
+  EXPECT_EQ(runs[3].start, 40);
+  EXPECT_EQ(runs[3].count, 5);
 }
 
 TEST(EncodedExecTest, DecodeIntsResumableMatchesDecodeIntsAcrossJumps) {
   auto db = MakeEncodedDb(3000);
   auto table = *db->GetTable("enc");
-  const Column& dl = *table->column(6);
-  ASSERT_EQ(dl.encoding(), Encoding::kDelta);
-
-  Column::DecodeCursor cursor;
-  // Contiguous decode, then a morsel-style jump forward, then contiguous
-  // again, then a jump back to an earlier row.
-  const int64_t plan[][2] = {
-      {0, 100}, {100, 200}, {1500, 100}, {1600, 50}, {700, 30}};
-  for (const auto& step : plan) {
-    std::vector<int64_t> got, want;
-    dl.DecodeIntsResumable(&cursor, step[0], step[1], &got);
-    dl.DecodeInts(step[0], step[1], &want);
-    EXPECT_EQ(got, want) << "at start " << step[0];
+  // dl: delta. r: RLE int (runs of 100). rf: RLE float (runs of 300).
+  for (int col : {6, 2}) {
+    const Column& c = *table->column(col);
+    Column::DecodeCursor cursor;
+    // Contiguous decode, then a morsel-style jump forward, then contiguous
+    // again, then a jump back to an earlier row.
+    const int64_t plan[][2] = {
+        {0, 100}, {100, 200}, {1500, 100}, {1600, 50}, {700, 30}};
+    for (const auto& step : plan) {
+      std::vector<int64_t> got, want;
+      std::vector<RowRange> piece = {{step[0], step[1]}};
+      c.DecodeIntsResumable(&cursor, piece, &got);
+      c.DecodeInts(step[0], step[1], &want);
+      EXPECT_EQ(got, want) << "column " << col << " at start " << step[0];
+    }
+    // All of them as the pieces of one call.
+    std::vector<RowRange> pieces;
+    std::vector<int64_t> want;
+    for (const auto& step : plan) {
+      pieces.push_back({step[0], step[1]});
+      c.DecodeInts(step[0], step[1], &want);
+    }
+    std::vector<int64_t> got;
+    Column::DecodeCursor fresh;
+    c.DecodeIntsResumable(&fresh, pieces, &got);
+    EXPECT_EQ(got, want) << "column " << col;
   }
+  // Float payloads walk the same runs.
+  const Column& rf = *table->column(3);
+  std::vector<RowRange> pieces = {{250, 100}, {1200, 7}, {10, 3}};
+  std::vector<double> got;
+  Column::DecodeCursor cursor;
+  rf.DecodeDoubles(&cursor, pieces, &got);
+  ASSERT_EQ(got.size(), 110u);
+  EXPECT_EQ(got[0], 0.0);
+  EXPECT_EQ(got[50], 1.25);
+  EXPECT_EQ(got[100], 5.0);
+  EXPECT_EQ(got[109], 0.0);
 }
 
 TEST(EncodedExecTest, CompareRowsAgreesWithValuesAcrossEncodings) {

@@ -59,7 +59,8 @@ TEST(DifferentialFuzz, MorselLaneSweepEngineOnly) {
 // tables — aggregated over the joined schema and diffed against the
 // nested-loop oracle join in serial, forced-parallel (partitioned
 // hash-join build + partitioned final merge at tiny thresholds) and
-// plain-encoding modes.
+// plain-encoding modes. Some runs must aggregate below the join, so the
+// oracle checks that rewrite too.
 TEST(DifferentialFuzz, JoinLaneSweepEngineOnly) {
   FuzzOptions options;
   options.seed = 0x10141;
@@ -71,6 +72,7 @@ TEST(DifferentialFuzz, JoinLaneSweepEngineOnly) {
   FuzzReport report = RunDifferentialFuzz(options);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.lane_checks, 0);
+  EXPECT_GT(report.agg_below_join, 0) << report.Summary();
 }
 
 // Self-test: bumping one aggregate cell by one in a scratch lane must be
@@ -163,10 +165,10 @@ TEST(DifferentialFuzz, SeedReproducibility) {
   }
 
   ASSERT_EQ(a.dim_rows, b.dim_rows);
-  Rng rc(123), rd(123);
+  Rng rc(123), rd(123), fc(5), fd(5);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(GenerateJoinCase(a, rc).Describe(),
-              GenerateJoinCase(b, rd).Describe());
+    EXPECT_EQ(GenerateJoinCase(a, rc, fc).Describe(),
+              GenerateJoinCase(b, rd, fd).Describe());
   }
 }
 

@@ -209,7 +209,9 @@ TEST_F(OptimizerTest, SmallTablesStaySerial) {
 // carries one typed reason; the three gate reasons are the fallbacks.
 TEST_F(OptimizerTest, EncodedDecisionNamesOneSkipReasonPerAggregate) {
   // `sales` is sorted on (region, product), both RLE dictionary strings;
-  // units, price and day are flat.
+  // units, price and day are flat. The join reads a dimension column in
+  // its aggregate, so it stays above the join; a float key has no dense
+  // domain.
   struct Case {
     std::string tql;
     EncodedSkip want;
@@ -218,11 +220,11 @@ TEST_F(OptimizerTest, EncodedDecisionNamesOneSkipReasonPerAggregate) {
   const std::vector<Case> cases = {
       {"(aggregate () ((n count*)) (scan sales))",
        EncodedSkip::kNoGroupKeys},
-      {"(aggregate ((category category)) ((n count*)) (join inner ((product "
-       "name)) (scan sales) (scan products) referential))",
+      {"(aggregate ((category category)) ((w sum weight)) (join inner "
+       "((product name)) (scan sales) (scan products) referential))",
        EncodedSkip::kNotScanChain},
-      {"(aggregate ((units units)) ((n count*)) (scan sales))",
-       EncodedSkip::kKeyNotDictionary},
+      {"(aggregate ((price price)) ((n count*)) (scan sales))",
+       EncodedSkip::kKeyNotDense},
       {"(aggregate ((product product)) ((n count*)) (scan sales))",
        EncodedSkip::kCellCap, /*cells_max=*/4},
       {"(aggregate ((product product)) ((n count (= region \"East\"))) "
@@ -261,7 +263,104 @@ TEST_F(OptimizerTest, EncodedDecisionNamesOneSkipReasonPerAggregate) {
   auto result = engine.Execute(cases[2].tql, QueryOptions::Serial());
   ASSERT_TRUE(result.ok()) << result.status();
   std::string text = result->analysis->ToText();
-  EXPECT_NE(text.find("skip=key_not_dictionary]"), std::string::npos) << text;
+  EXPECT_NE(text.find("skip=key_not_dense]"), std::string::npos) << text;
+}
+
+// An aggregate over a join to a small dimension splits in two: a dense
+// partial over the fact scan, keyed by the join key, under the join, and a
+// final merge above it.
+TEST_F(OptimizerTest, AggregateBelowJoinSplitsAroundTheJoin) {
+  const std::string tql =
+      "(aggregate ((category category)) ((total sum units) (a avg price) "
+      "(n count*)) (join inner ((product name)) (scan sales) (scan products) "
+      "referential))";
+  LogicalOpPtr plan = Prepare(tql);
+  OptimizerOptions options;
+  ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+  const std::string once = plan->ToString();
+  ASSERT_EQ(plan->kind, LogicalKind::kAggregate) << once;
+  EXPECT_EQ(plan->agg_phase, AggPhase::kFinal) << once;
+  const LogicalOp* project = plan->children[0].get();
+  ASSERT_EQ(project->kind, LogicalKind::kProject) << once;
+  // [category, total, a$sum, a$cnt, n]: the final reads states by position.
+  EXPECT_EQ(project->projections.size(), 5u) << once;
+  const LogicalOp* join = project->children[0].get();
+  ASSERT_EQ(join->kind, LogicalKind::kJoin) << once;
+  const LogicalOp* partial = join->children[0].get();
+  ASSERT_EQ(partial->kind, LogicalKind::kAggregate) << once;
+  EXPECT_EQ(partial->agg_phase, AggPhase::kPartial) << once;
+  ASSERT_EQ(partial->group_by.size(), 1u) << once;
+  EXPECT_EQ(partial->group_by[0].name, "product") << once;
+  EXPECT_EQ(partial->children[0]->kind, LogicalKind::kScan) << once;
+
+  EncodedExecDecision d = DecideEncodedExec(plan, options);
+  EXPECT_TRUE(partial->use_encoded_agg) << once;
+  EXPECT_EQ(d.plans, 1);
+  EXPECT_EQ(d.fallbacks, 0);
+
+  // Optimizing again changes nothing.
+  ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+  EXPECT_EQ(plan->ToString(), once);
+
+  // Same answer as the plan without encoded execution, serial and with
+  // morsels under a partitioned final merge.
+  TdeEngine engine(db_);
+  QueryOptions off = QueryOptions::Serial();
+  off.optimizer.enable_encoded_exec = false;
+  auto want = engine.Execute(tql, off);
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_FALSE(want->stats->used_agg_below_join);
+  QueryOptions parallel;
+  parallel.parallel.max_dop = 3;
+  parallel.parallel.min_rows_per_fraction = 256;
+  parallel.parallel.parallel_merge_min_rows = 1;
+  for (const QueryOptions& on : {QueryOptions::Serial(), parallel}) {
+    auto got = engine.Execute(tql, on);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(got->stats->used_agg_below_join) << got->plan_text;
+    EXPECT_TRUE(got->stats->used_encoded_path) << got->plan_text;
+    EXPECT_TRUE(vizq::testing::TablesEquivalent(want->table, got->table))
+        << got->plan_text;
+  }
+}
+
+TEST_F(OptimizerTest, AggregateBelowJoinRefusals) {
+  const std::string join =
+      "(join inner ((product name)) (scan sales) (scan products) "
+      "referential)";
+  struct Case {
+    std::string tql;
+    bool encoded = true;
+    int64_t cells_max = OptimizerOptions().encoded_group_cells_max;
+  };
+  const std::vector<Case> cases = {
+      // COUNTD is not re-aggregable.
+      {"(aggregate ((category category)) ((n countd units)) " + join + ")"},
+      // The aggregate reads the dimension side.
+      {"(aggregate ((category category)) ((w sum weight)) " + join + ")"},
+      // A computed join key.
+      {"(aggregate ((category category)) ((total sum units)) (join inner "
+       "(((lower product) name)) (scan sales) (scan products) "
+       "referential))"},
+      // The partial (9 cells for `product`) is over the cell cap.
+      {"(aggregate ((category category)) ((total sum units)) " + join + ")",
+       true, /*cells_max=*/4},
+      // Encoded execution is off.
+      {"(aggregate ((category category)) ((total sum units)) " + join + ")",
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tql);
+    OptimizerOptions options;
+    options.enable_encoded_exec = c.encoded;
+    options.encoded_group_cells_max = c.cells_max;
+    LogicalOpPtr plan = Prepare(c.tql);
+    ASSERT_TRUE(OptimizePlan(&plan, options).ok());
+    ASSERT_EQ(plan->kind, LogicalKind::kAggregate) << plan->ToString();
+    EXPECT_EQ(plan->agg_phase, AggPhase::kComplete) << plan->ToString();
+    EXPECT_EQ(plan->children[0]->kind, LogicalKind::kJoin)
+        << plan->ToString();
+  }
 }
 
 // Property: every optimizer configuration preserves results.

@@ -13,6 +13,7 @@
 #include "src/tde/exec/join.h"
 #include "src/tde/exec/operators.h"
 #include "src/tde/exec/scan.h"
+#include "src/workload/faa_generator.h"
 #include "tests/test_util.h"
 
 namespace vizq::tde {
@@ -450,6 +451,47 @@ TEST(ParallelJoinTest, EngineParallelMergeMatchesSerialResults) {
     EXPECT_GE(rp->stats->merge_partitions, 4);
     EXPECT_FALSE(rs->stats->used_parallel_merge);
   }
+}
+
+// The Airlines zone's plan aggregates below the carriers join: a dense
+// partial per morsel fraction, the join probing partial rows, and a
+// partitioned final merge. It must equal the serial plan, and both the
+// plan without encoded execution.
+TEST(ParallelJoinTest, AggregateBelowJoinUnderMorselsMatchesSerial) {
+  workload::FaaOptions faa;
+  faa.num_flights = 30000;
+  auto db = workload::GenerateFaaDatabase(faa);
+  ASSERT_TRUE(db.ok()) << db.status();
+  TdeEngine engine(*db);
+  const std::string q =
+      "(aggregate ((airline airline_name) (hour dep_hour)) ((n count*) "
+      "(delay avg arr_delay) (worst max arr_delay)) (join inner ((carrier "
+      "code)) (select (> dep_hour 8) (scan flights)) (scan carriers) "
+      "referential))";
+  QueryOptions parallel;
+  parallel.parallel.max_dop = 4;
+  parallel.parallel.min_rows_per_fraction = 1024;
+  parallel.parallel.enable_range_partition = false;
+  parallel.parallel.enable_morsel = true;
+  parallel.parallel.morsel_rows = 1000;
+  parallel.parallel.parallel_merge_min_rows = 1;
+  QueryOptions row_path = QueryOptions::Serial();
+  row_path.optimizer.enable_encoded_exec = false;
+  auto rs = engine.Execute(q, QueryOptions::Serial());
+  auto rp = engine.Execute(q, parallel);
+  auto rr = engine.Execute(q, row_path);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_TRUE(rp.ok()) << rp.status();
+  ASSERT_TRUE(rr.ok()) << rr.status();
+  EXPECT_TRUE(TablesEquivalent(rs->table, rp->table))
+      << "serial:\n" << rs->table.ToCsv() << "\nparallel:\n"
+      << rp->table.ToCsv() << "\nplan:\n" << rp->plan_text;
+  EXPECT_TRUE(TablesEquivalent(rr->table, rs->table)) << rs->plan_text;
+  EXPECT_TRUE(rs->stats->used_agg_below_join) << rs->plan_text;
+  EXPECT_TRUE(rp->stats->used_agg_below_join) << rp->plan_text;
+  EXPECT_TRUE(rp->stats->used_morsel_scan) << rp->plan_text;
+  EXPECT_TRUE(rp->stats->used_parallel_merge) << rp->plan_text;
+  EXPECT_FALSE(rr->stats->used_agg_below_join) << rr->plan_text;
 }
 
 TEST(ParallelJoinTest, AblationKnobsKeepBlockingOperatorsSerial) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/tde/engine.h"
 #include "src/tde/storage/column.h"
 #include "src/tde/storage/database.h"
 #include "src/tde/storage/file_format.h"
@@ -286,6 +287,48 @@ TEST(FileFormatTest, CorruptImagesFailCleanly) {
   bad_encoding[name_at + 5 + 2] = static_cast<char>(0x77);
   EXPECT_EQ(DatabaseSerializer::Unpack(bad_encoding).status().code(),
             StatusCode::kDataLoss);
+}
+
+// A file's stored min/max size the dense grouping domain of an integer
+// key. Stats narrower than the data must fail the query with DataLoss (or
+// answer correctly), never index outside the dense cells.
+TEST(FileFormatTest, IntKeyOutsideStoredStatsFailsTyped) {
+  Database db("x");
+  TableBuilder builder("t", {{"h", DataType::Int64()}});
+  for (int64_t i = 0; i < 240; ++i) (void)builder.AddRow({Value(i % 24)});
+  (void)db.AddTable(*builder.Finish());
+  const std::string bytes = DatabaseSerializer::Pack(db);
+  // After column "h"'s name: 3 tag bytes, the i64 size, has_min_max, then
+  // min and max as (tag, i64) pairs.
+  size_t name_at = bytes.find(std::string("\x01\0\0\0h", 5));
+  ASSERT_NE(name_at, std::string::npos);
+  const size_t min_at = name_at + 5 + 3 + 8 + 1 + 1;
+  const size_t max_at = min_at + 8 + 1;
+  auto put_i64 = [](std::string* b, size_t at, int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      (*b)[at + i] = static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)));
+    }
+  };
+  std::string low_max = bytes;
+  put_i64(&low_max, max_at, 5);
+  std::string high_min = bytes;
+  put_i64(&high_min, min_at, 10);
+  for (const std::string& image : {low_max, high_min}) {
+    auto restored = DatabaseSerializer::Unpack(image);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    TdeEngine engine(*restored);
+    auto result = engine.Execute(
+        "(aggregate ((h h)) ((n count*)) (scan t))", QueryOptions::Serial());
+    if (result.ok()) {
+      ASSERT_EQ(result->table.num_rows(), 24);
+      for (int64_t r = 0; r < 24; ++r) {
+        EXPECT_EQ(result->table.at(r, 1).int_value(), 10);
+      }
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+          << result.status();
+    }
+  }
 }
 
 TEST(CollationTest, CompareEqualsHashAgree) {

@@ -11,13 +11,14 @@
 //     FILE) all of them as Chrome trace-event JSON, loadable in
 //     chrome://tracing / Perfetto;
 //   * per-plan-shape latency profiles (signature, count, p50/p95/p99);
-//   * the operator-level EXPLAIN ANALYZE plans of two probe queries, read
-//     from their tde:run spans' attributes.
+//   * the operator-level EXPLAIN ANALYZE plans of three probe queries,
+//     read from their tde:run spans' attributes.
 //
 // --selftest runs the same workload and asserts the acceptance criteria
 // (plausible p50<=p95<=p99 in cache/pool/operator histograms, schema-valid
 // Chrome trace, root rows-out == returned rows, retained tail exemplars
-// with a valid trace, non-empty monotone plan profiles), exiting non-zero
+// with a valid trace, non-empty monotone plan profiles, the encoded path
+// and aggregation below the carriers join in the probes), exiting non-zero
 // on any violation; CI runs it on every Release build.
 //
 // --cluster N routes the dashboard workload through an N-node sharded
@@ -76,6 +77,10 @@ struct WorkloadResult {
   // table sort, so the encoded Scan->Aggregate path must claim it.
   std::string encoded_plan_text;
   int64_t encoded_probe_rows = 0;
+  // Third probe (airline_name x dep_hour over the carriers join): the
+  // aggregate splits around the join, its partial dense over the scan.
+  std::string join_plan_text;
+  int64_t join_probe_rows = 0;
   int64_t queries_run = 0;
 };
 
@@ -239,6 +244,22 @@ StatusOr<WorkloadResult> RunWorkload(const ToolOptions& opt) {
   ++out.queries_run;
   out.encoded_probe_rows = encoded_result.num_rows();
   out.encoded_plan_text = RunAttributes(ectx)["tde.analyze"];
+
+  // Join probe: airline_name lives in the carriers dimension, dep_hour is
+  // a small-domain int of the fact table. The partial aggregate runs dense
+  // below the join, keyed by the carrier code and dep_hour.
+  query::AbstractQuery join_probe =
+      query::QueryBuilder("faa", workload::kFlightsView)
+          .Dim("airline_name")
+          .Dim("dep_hour")
+          .Agg(AggFunc::kAvg, "arr_delay", "avg_delay")
+          .Build();
+  ExecContext jctx;
+  VIZQ_ASSIGN_OR_RETURN(ResultTable join_result,
+                        service.ExecuteQuery(jctx, join_probe, probe_opts));
+  ++out.queries_run;
+  out.join_probe_rows = join_result.num_rows();
+  out.join_plan_text = RunAttributes(jctx)["tde.analyze"];
   return out;
 }
 
@@ -291,6 +312,31 @@ int SelfTest(const WorkloadResult& result) {
                   "(plans=" + std::to_string(plans) +
                   " fallbacks=" + std::to_string(fallbacks) +
                   " rows_undecoded=" + std::to_string(undecoded) + ")");
+    }
+  }
+
+  // (e) the join probe aggregated below the carriers join: a final
+  // aggregate over the join, whose fact side is a dense partial keyed by
+  // the carrier code and dep_hour, with no fallback.
+  {
+    const std::string& text = result.join_plan_text;
+    size_t at = 0;
+    for (const char* step :
+         {"Aggregate [groups=2 aggs=", "phase=final]", "Join [keys=1",
+          "Aggregate [groups=2 aggs=", "phase=partial dense]",
+          "Scan flights", "Scan carriers", "encoded: plans="}) {
+      at = text.find(step, at);
+      if (at == std::string::npos) {
+        return Fail(std::string("selftest: join probe plan lacks '") + step +
+                    "' in order:\n" + text);
+      }
+    }
+    int plans = 0, fallbacks = -1;
+    if (std::sscanf(text.c_str() + at, "encoded: plans=%d fallbacks=%d",
+                    &plans, &fallbacks) != 2 ||
+        plans < 1 || fallbacks != 0) {
+      return Fail("selftest: join probe did not aggregate dense below the "
+                  "join:\n" + text);
     }
   }
 
@@ -476,5 +522,11 @@ int main(int argc, char** argv) {
   std::printf("%s", result->encoded_plan_text.c_str());
   std::printf("  (returned rows %lld)\n",
               static_cast<long long>(result->encoded_probe_rows));
+
+  std::printf("\n== EXPLAIN ANALYZE: avg arr_delay by airline_name x "
+              "dep_hour (aggregated below the join) ==\n");
+  std::printf("%s", result->join_plan_text.c_str());
+  std::printf("  (returned rows %lld)\n",
+              static_cast<long long>(result->join_probe_rows));
   return 0;
 }
