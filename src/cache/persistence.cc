@@ -60,8 +60,10 @@ Status DeserializeCaches(const std::string& bytes,
     return DataLoss("not a VizQuery cache file");
   }
   const bool has_stats = magic == kMagicV2;
+  // An intelligent-cache entry is at least two strings and a cost, a
+  // literal-cache entry three strings and a cost.
   uint32_t n;
-  if (!r.U32(&n)) return DataLoss("truncated cache file");
+  if (!r.Count(&n, 4 + 4 + 8)) return DataLoss("truncated cache file");
   std::vector<IntelligentCache::Snapshot> iq;
   for (uint32_t i = 0; i < n; ++i) {
     std::string desc_bytes, result_bytes;
@@ -76,7 +78,7 @@ Status DeserializeCaches(const std::string& bytes,
     iq.push_back(
         IntelligentCache::Snapshot{std::move(desc), std::move(result), cost});
   }
-  if (!r.U32(&n)) return DataLoss("truncated cache file");
+  if (!r.Count(&n, 4 + 4 + 4 + 8)) return DataLoss("truncated cache file");
   std::vector<LiteralCache::Snapshot> lq;
   for (uint32_t i = 0; i < n; ++i) {
     LiteralCache::Snapshot s;
@@ -95,7 +97,7 @@ Status DeserializeCaches(const std::string& bytes,
     if (!r.I64(&istats.exact_hits) || !r.I64(&istats.derived_hits) ||
         !r.I64(&istats.misses) || !r.I64(&istats.evictions) ||
         !r.I64(&istats.inserts) || !r.I64(&istats.invalidations) ||
-        !r.U32(&num_reasons)) {
+        !r.Count(&num_reasons, 8)) {
       return DataLoss("truncated cache-stats block");
     }
     for (uint32_t i = 0; i < num_reasons; ++i) {

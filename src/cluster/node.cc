@@ -9,20 +9,6 @@
 
 namespace vizq::cluster {
 
-namespace {
-
-constexpr uint8_t kMaxServedFrom =
-    static_cast<uint8_t>(dashboard::ServedFrom::kFailed);
-constexpr uint8_t kMaxTaskClass = static_cast<uint8_t>(TaskClass::kBackground);
-// Smallest encoded batch entry: a request query's length prefix; a
-// response table's length prefix, served_from byte and two F64 timings.
-// A count the remaining payload cannot hold is corrupt and must not size
-// an allocation.
-constexpr size_t kMinRequestEntryBytes = 4;
-constexpr size_t kMinResponseEntryBytes = 4 + 1 + 8 + 8;
-
-}  // namespace
-
 // --- wire codecs ---
 
 std::string EncodeBatchRequest(const std::vector<query::AbstractQuery>& batch,
@@ -41,10 +27,10 @@ std::string EncodeBatchRequest(const std::vector<query::AbstractQuery>& batch,
 StatusOr<std::pair<std::vector<query::AbstractQuery>, WireBatchOptions>>
 DecodeBatchRequest(const std::string& payload) {
   BinaryReader r(payload);
+  // An entry is at least a query's length prefix.
   uint32_t count = 0;
-  if (!r.U32(&count)) return DataLoss("batch request: truncated count");
-  if (count > r.remaining() / kMinRequestEntryBytes) {
-    return DataLoss("batch request: implausible count");
+  if (!r.Count(&count, 4)) {
+    return DataLoss("batch request: bad count");
   }
   std::vector<query::AbstractQuery> batch;
   batch.reserve(count);
@@ -56,18 +42,14 @@ DecodeBatchRequest(const std::string& payload) {
     batch.push_back(std::move(q));
   }
   WireBatchOptions options;
-  uint8_t cache_only = 0, exact_only = 0, priority = 0;
+  uint8_t cache_only = 0, exact_only = 0;
   if (!r.U8(&cache_only) || !r.F64(&options.max_result_age_ms) ||
-      !r.U8(&exact_only) || !r.U64(&options.session_id) || !r.U8(&priority) ||
-      !r.AtEnd()) {
-    return DataLoss("batch request: truncated options");
-  }
-  if (priority > kMaxTaskClass) {
-    return DataLoss("batch request: bad priority " + std::to_string(priority));
+      !r.U8(&exact_only) || !r.U64(&options.session_id) ||
+      !r.Enum(&options.priority, TaskClass::kBackground) || !r.AtEnd()) {
+    return DataLoss("batch request: truncated options or bad priority");
   }
   options.cache_only = cache_only != 0;
   options.cache_exact_only = exact_only != 0;
-  options.priority = static_cast<TaskClass>(priority);
   return std::make_pair(std::move(batch), options);
 }
 
@@ -92,27 +74,23 @@ std::string EncodeBatchResponse(const NodeBatchResult& result) {
 
 StatusOr<NodeBatchResult> DecodeBatchResponse(const std::string& payload) {
   BinaryReader r(payload);
+  // An entry is at least a table's length prefix, served_from and two
+  // F64 timings.
   uint32_t count = 0;
-  if (!r.U32(&count)) return DataLoss("batch response: truncated count");
-  if (count > r.remaining() / kMinResponseEntryBytes) {
-    return DataLoss("batch response: implausible count");
+  if (!r.Count(&count, 4 + 1 + 8 + 8)) {
+    return DataLoss("batch response: bad count");
   }
   NodeBatchResult result;
   result.results.reserve(count);
   result.queries.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     std::string bytes;
-    uint8_t served = 0;
     dashboard::QueryReport qr;
-    if (!r.Str(&bytes) || !r.U8(&served) || !r.F64(&qr.ms) ||
-        !r.F64(&qr.age_ms)) {
-      return DataLoss("batch response: truncated result");
+    if (!r.Str(&bytes) ||
+        !r.Enum(&qr.served_from, dashboard::ServedFrom::kFailed) ||
+        !r.F64(&qr.ms) || !r.F64(&qr.age_ms)) {
+      return DataLoss("batch response: truncated result or bad served_from");
     }
-    if (served > kMaxServedFrom) {
-      return DataLoss("batch response: bad served_from " +
-                      std::to_string(served));
-    }
-    qr.served_from = static_cast<dashboard::ServedFrom>(served);
     VIZQ_ASSIGN_OR_RETURN(ResultTable table, ResultTable::Deserialize(bytes));
     result.results.push_back(std::move(table));
     result.queries.push_back(qr);

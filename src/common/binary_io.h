@@ -1,6 +1,15 @@
-// Little-endian binary writer/reader shared by cache persistence and the
-// distributed cache tier. (The storage layer's single-file format keeps its
-// own encoder for format-stability reasons.)
+// Little-endian binary writer/reader: the one codec behind every binary
+// format — ResultTable, AbstractQuery, cache snapshots and the shared
+// cache tier, the .tde single-file extract, the cluster batch payloads and
+// the RPC envelopes. Integers are fixed-width, strings carry a u32 length
+// prefix, and a Value is a one-byte tag (0 null, 1 bool, 2 int64,
+// 3 float64, 4 string) followed by its payload. Files on disk depend on
+// these bytes; robustness_test's BinaryFormatTest.GoldenBytes pins them.
+//
+// Every read returns false on truncated or out-of-range input. Count()
+// bounds a length prefix by the bytes left and Enum() rejects an unknown
+// tag, so a decoder that reads its counts and tags through them is total:
+// corrupt input is a typed error, never a crash or a huge allocation.
 
 #ifndef VIZQUERY_COMMON_BINARY_IO_H_
 #define VIZQUERY_COMMON_BINARY_IO_H_
@@ -8,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "src/common/value.h"
 
@@ -72,7 +82,7 @@ class BinaryReader {
   bool F64(double* v) { return Raw(v, 8); }
   bool Str(std::string* s) {
     uint32_t n;
-    if (!U32(&n) || pos_ + n > data_.size()) return false;
+    if (!U32(&n) || n > remaining()) return false;
     s->assign(data_.data() + pos_, n);
     pos_ += n;
     return true;
@@ -112,12 +122,34 @@ class BinaryReader {
         return false;
     }
   }
+
+  // Reads an element count stored as a u32 or a u64 (the width of `*n`)
+  // and fails unless that many elements of at least `min_elem_bytes` (>= 1)
+  // each fit in the bytes left, so a corrupt count can size neither an
+  // allocation nor a loop beyond the input.
+  template <typename T>
+  bool Count(T* n, size_t min_elem_bytes) {
+    static_assert(std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t>);
+    return Raw(n, sizeof(T)) && *n <= remaining() / min_elem_bytes;
+  }
+
+  // Reads an enum stored as a `Wire` integer (one byte unless the format
+  // says otherwise) and fails unless it is at most `last`, the enum's
+  // largest value.
+  template <typename Wire = uint8_t, typename E>
+  bool Enum(E* v, E last) {
+    Wire w = 0;
+    if (!Raw(&w, sizeof(w)) || w > static_cast<Wire>(last)) return false;
+    *v = static_cast<E>(w);
+    return true;
+  }
+
   bool AtEnd() const { return pos_ == data_.size(); }
-  size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  size_t remaining() const { return data_.size() - pos_; }
   bool Raw(void* p, size_t n) {
-    if (pos_ + n > data_.size()) return false;
+    if (n > remaining()) return false;
     std::memcpy(p, data_.data() + pos_, n);
     pos_ += n;
     return true;

@@ -3,6 +3,8 @@
 #include <limits>
 #include <sstream>
 
+#include "src/common/str_util.h"
+
 namespace vizq {
 
 namespace {
@@ -108,17 +110,6 @@ void RenderText(const Span& span, int depth, std::string* out) {
   out->append(" ms\n");
   for (const Span* child : span.children()) {
     RenderText(*child, depth + 1, out);
-  }
-}
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      default: out->push_back(c);
-    }
   }
 }
 

@@ -1,139 +1,14 @@
 #include "src/common/result_table.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "src/common/binary_io.h"
 
 namespace vizq {
 
 namespace {
 
-// --- binary serialization helpers (little-endian, length-prefixed) ---
-
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : data_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    std::memcpy(v, data_.data() + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    std::memcpy(v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint32_t n;
-    if (!GetU32(&n)) return false;
-    if (pos_ + n > data_.size()) return false;
-    s->assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
-// Largest valid enum tags in a column header.
-constexpr uint8_t kMaxTypeKind = static_cast<uint8_t>(TypeKind::kDate);
-constexpr uint8_t kMaxCollation =
-    static_cast<uint8_t>(Collation::kCaseInsensitive);
-
-// Value wire tags.
-constexpr uint8_t kTagNull = 0;
-constexpr uint8_t kTagBool = 1;
-constexpr uint8_t kTagInt = 2;
-constexpr uint8_t kTagDouble = 3;
-constexpr uint8_t kTagString = 4;
-
-void PutValue(std::string* out, const Value& v) {
-  if (v.is_null()) {
-    PutU8(out, kTagNull);
-  } else if (v.is_bool()) {
-    PutU8(out, kTagBool);
-    PutU8(out, v.bool_value() ? 1 : 0);
-  } else if (v.is_int()) {
-    PutU8(out, kTagInt);
-    PutU64(out, static_cast<uint64_t>(v.int_value()));
-  } else if (v.is_double()) {
-    PutU8(out, kTagDouble);
-    uint64_t bits;
-    double d = v.double_value();
-    std::memcpy(&bits, &d, 8);
-    PutU64(out, bits);
-  } else {
-    PutU8(out, kTagString);
-    PutString(out, v.string_value());
-  }
-}
-
-bool GetValue(Reader* r, Value* v) {
-  uint8_t tag;
-  if (!r->GetU8(&tag)) return false;
-  switch (tag) {
-    case kTagNull:
-      *v = Value::Null();
-      return true;
-    case kTagBool: {
-      uint8_t b;
-      if (!r->GetU8(&b)) return false;
-      *v = Value(b != 0);
-      return true;
-    }
-    case kTagInt: {
-      uint64_t i;
-      if (!r->GetU64(&i)) return false;
-      *v = Value(static_cast<int64_t>(i));
-      return true;
-    }
-    case kTagDouble: {
-      uint64_t bits;
-      if (!r->GetU64(&bits)) return false;
-      double d;
-      std::memcpy(&d, &bits, 8);
-      *v = Value(d);
-      return true;
-    }
-    case kTagString: {
-      std::string s;
-      if (!r->GetString(&s)) return false;
-      *v = Value(std::move(s));
-      return true;
-    }
-    default:
-      return false;
-  }
-}
+constexpr uint32_t kMagic = 0x565A5254;  // 'VZRT'
 
 int CompareRowsOnKeys(const ResultTable::Row& a, const ResultTable::Row& b,
                       const std::vector<int>& keys) {
@@ -182,62 +57,50 @@ int64_t ResultTable::ApproxBytes() const {
 }
 
 std::string ResultTable::Serialize() const {
-  std::string out;
-  PutU32(&out, 0x565A5254);  // 'VZRT' magic
-  PutU32(&out, static_cast<uint32_t>(columns_.size()));
+  BinaryWriter w;
+  w.U32(kMagic);
+  w.U32(static_cast<uint32_t>(columns_.size()));
   for (const ResultColumn& c : columns_) {
-    PutString(&out, c.name);
-    PutU8(&out, static_cast<uint8_t>(c.type.kind));
-    PutU8(&out, static_cast<uint8_t>(c.type.collation));
+    w.Str(c.name);
+    w.U8(static_cast<uint8_t>(c.type.kind));
+    w.U8(static_cast<uint8_t>(c.type.collation));
   }
-  PutU64(&out, static_cast<uint64_t>(rows_.size()));
+  w.U64(static_cast<uint64_t>(rows_.size()));
   for (const Row& row : rows_) {
-    for (const Value& v : row) PutValue(&out, v);
+    for (const Value& v : row) w.Val(v);
   }
-  return out;
+  return w.TakeBytes();
 }
 
 StatusOr<ResultTable> ResultTable::Deserialize(const std::string& bytes) {
-  Reader r(bytes);
+  BinaryReader r(bytes);
   uint32_t magic;
-  if (!r.GetU32(&magic) || magic != 0x565A5254) {
+  if (!r.U32(&magic) || magic != kMagic) {
     return DataLoss("ResultTable: bad magic");
   }
+  // A column header holds at least a name's length prefix and two tags.
   uint32_t ncols;
-  if (!r.GetU32(&ncols) || ncols > 100000) {
+  if (!r.Count(&ncols, 4 + 1 + 1)) {
     return DataLoss("ResultTable: bad column count");
   }
-  std::vector<ResultColumn> cols;
-  cols.reserve(ncols);
-  for (uint32_t i = 0; i < ncols; ++i) {
-    ResultColumn c;
-    uint8_t kind, collation;
-    if (!r.GetString(&c.name) || !r.GetU8(&kind) || !r.GetU8(&collation)) {
-      return DataLoss("ResultTable: truncated column header");
+  std::vector<ResultColumn> cols(ncols);
+  for (ResultColumn& c : cols) {
+    if (!r.Str(&c.name) || !r.Enum(&c.type.kind, TypeKind::kDate) ||
+        !r.Enum(&c.type.collation, Collation::kCaseInsensitive)) {
+      return DataLoss("ResultTable: bad column header");
     }
-    if (kind > kMaxTypeKind || collation > kMaxCollation) {
-      return DataLoss("ResultTable: bad column type");
-    }
-    c.type.kind = static_cast<TypeKind>(kind);
-    c.type.collation = static_cast<Collation>(collation);
-    cols.push_back(std::move(c));
   }
   ResultTable table(std::move(cols));
+  // A row holds at least a one-byte tag per column.
   uint64_t nrows;
-  if (!r.GetU64(&nrows)) return DataLoss("ResultTable: truncated row count");
-  // Guard against corrupt counts: every value carries at least a 1-byte
-  // tag, so nrows*ncols can never exceed the remaining payload.
-  if ((ncols == 0 && nrows > 0) ||
-      (ncols > 0 && nrows > bytes.size() / ncols)) {
-    return DataLoss("ResultTable: implausible row count");
+  if (!r.Count(&nrows, std::max<size_t>(ncols, 1))) {
+    return DataLoss("ResultTable: bad row count");
   }
+  table.ReserveRows(static_cast<int64_t>(nrows));
   for (uint64_t i = 0; i < nrows; ++i) {
-    Row row;
-    row.reserve(ncols);
-    for (uint32_t c = 0; c < ncols; ++c) {
-      Value v;
-      if (!GetValue(&r, &v)) return DataLoss("ResultTable: truncated row");
-      row.push_back(std::move(v));
+    Row row(ncols);
+    for (Value& v : row) {
+      if (!r.Val(&v)) return DataLoss("ResultTable: truncated row");
     }
     table.AddRow(std::move(row));
   }

@@ -169,4 +169,23 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  for (char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+}
+
 }  // namespace vizq

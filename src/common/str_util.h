@@ -1,5 +1,5 @@
 // Small string utilities shared across modules (CSV parsing, SQL rendering,
-// TQL tokenizing, date handling).
+// TQL tokenizing, date handling, JSON output).
 
 #ifndef VIZQUERY_COMMON_STR_UTIL_H_
 #define VIZQUERY_COMMON_STR_UTIL_H_
@@ -41,6 +41,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 // ASCII lower-casing.
 std::string ToLower(std::string_view s);
+
+// Appends `s` to `out` as the body of a JSON string: quotes, backslashes
+// and every control character are escaped.
+void AppendJsonEscaped(std::string_view s, std::string* out);
 
 }  // namespace vizq
 

@@ -172,6 +172,9 @@ class Parser {
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("unescaped control character in string");
+      }
       if (c == '\\') {
         if (pos_ >= text_.size()) return Error("unterminated escape");
         char esc = text_[pos_++];

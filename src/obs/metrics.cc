@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "src/common/str_util.h"
+
 namespace vizq::obs {
 
 namespace {
@@ -65,17 +67,6 @@ std::string FormatDouble(double v) {
   os.precision(6);
   os << v;
   return os.str();
-}
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      default: out->push_back(c);
-    }
-  }
 }
 
 // Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Our dotted names

@@ -3,28 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/common/str_util.h"
+
 namespace vizq::obs {
 
 namespace {
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 std::string FormatMs(double ms) {
   char buf[32];

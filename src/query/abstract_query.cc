@@ -95,42 +95,37 @@ std::string AbstractQuery::Serialize() const {
 StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
   BinaryReader r(bytes);
   AbstractQuery q;
-  auto fail = [] { return DataLoss("AbstractQuery: truncated"); };
+  auto fail = [] { return DataLoss("AbstractQuery: truncated or bad tag"); };
+  // Counts are bounded by each element's smallest encoding: a dimension
+  // is a string; a measure a tag and two strings; a predicate a string, a
+  // tag, a value count and four flags; an order key a string and a flag.
   if (!r.Str(&q.data_source) || !r.Str(&q.view)) return fail();
   uint32_t n;
-  if (!r.U32(&n)) return fail();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string d;
+  if (!r.Count(&n, 4)) return fail();
+  q.dimensions.resize(n);
+  for (std::string& d : q.dimensions) {
     if (!r.Str(&d)) return fail();
-    q.dimensions.push_back(std::move(d));
   }
-  if (!r.U32(&n)) return fail();
-  for (uint32_t i = 0; i < n; ++i) {
-    Measure m;
-    uint8_t func;
-    if (!r.U8(&func) || !r.Str(&m.column) || !r.Str(&m.alias)) return fail();
-    if (func > static_cast<uint8_t>(AggFunc::kCountDistinct)) {
-      return DataLoss("AbstractQuery: bad aggregate function " +
-                      std::to_string(func));
+  if (!r.Count(&n, 1 + 4 + 4)) return fail();
+  q.measures.resize(n);
+  for (Measure& m : q.measures) {
+    if (!r.Enum(&m.func, AggFunc::kCountDistinct) || !r.Str(&m.column) ||
+        !r.Str(&m.alias)) {
+      return fail();
     }
-    m.func = static_cast<AggFunc>(func);
-    q.measures.push_back(std::move(m));
   }
-  if (!r.U32(&n)) return fail();
-  for (uint32_t i = 0; i < n; ++i) {
-    ColumnPredicate p;
-    uint8_t kind, flag;
+  if (!r.Count(&n, 4 + 1 + 4 + 4)) return fail();
+  q.filters.predicates.resize(n);
+  for (ColumnPredicate& p : q.filters.predicates) {
+    uint8_t flag;
     uint32_t nv;
-    if (!r.Str(&p.column) || !r.U8(&kind) || !r.U32(&nv)) return fail();
-    if (kind > static_cast<uint8_t>(ColumnPredicate::Kind::kRange)) {
-      return DataLoss("AbstractQuery: bad predicate kind " +
-                      std::to_string(kind));
+    if (!r.Str(&p.column) ||
+        !r.Enum(&p.kind, ColumnPredicate::Kind::kRange) || !r.Count(&nv, 1)) {
+      return fail();
     }
-    p.kind = static_cast<ColumnPredicate::Kind>(kind);
-    for (uint32_t v = 0; v < nv; ++v) {
-      Value val;
-      if (!r.Val(&val)) return fail();
-      p.values.push_back(std::move(val));
+    p.values.resize(nv);
+    for (Value& v : p.values) {
+      if (!r.Val(&v)) return fail();
     }
     if (!r.U8(&flag)) return fail();
     if (flag != 0) {
@@ -148,15 +143,13 @@ StatusOr<AbstractQuery> AbstractQuery::Deserialize(const std::string& bytes) {
     }
     if (!r.U8(&flag)) return fail();
     p.upper_inclusive = flag != 0;
-    q.filters.predicates.push_back(std::move(p));
   }
-  if (!r.U32(&n)) return fail();
-  for (uint32_t i = 0; i < n; ++i) {
-    OrderSpec o;
+  if (!r.Count(&n, 4 + 1)) return fail();
+  q.order_by.resize(n);
+  for (OrderSpec& o : q.order_by) {
     uint8_t asc;
     if (!r.Str(&o.by_alias) || !r.U8(&asc)) return fail();
     o.ascending = asc != 0;
-    q.order_by.push_back(std::move(o));
   }
   if (!r.I64(&q.limit)) return fail();
   if (!r.AtEnd()) return DataLoss("AbstractQuery: trailing bytes");

@@ -57,15 +57,12 @@ StatusOr<RpcResponse> RpcResponse::Deserialize(const std::string& bytes) {
     return DataLoss("rpc: not a response envelope");
   }
   RpcResponse resp;
-  uint32_t code;
-  if (!r.U64(&resp.request_id) || !r.U32(&code) || !r.Str(&resp.message) ||
-      !r.F64(&resp.remote_ms) || !r.Str(&resp.payload) || !r.AtEnd()) {
-    return DataLoss("rpc: truncated response envelope");
+  if (!r.U64(&resp.request_id) ||
+      !r.Enum<uint32_t>(&resp.code, StatusCode::kDeadlineExceeded) ||
+      !r.Str(&resp.message) || !r.F64(&resp.remote_ms) ||
+      !r.Str(&resp.payload) || !r.AtEnd()) {
+    return DataLoss("rpc: truncated response envelope or bad status code");
   }
-  if (code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
-    return DataLoss("rpc: unknown status code in response envelope");
-  }
-  resp.code = static_cast<StatusCode>(code);
   return resp;
 }
 

@@ -1,9 +1,9 @@
 // RPC envelopes: the wire format of the in-process cluster boundary.
 //
 // Even though caller and callee share an address space, every call is
-// genuinely serialized to bytes and parsed back on the far side (the
-// little-endian length-prefixed BinaryWriter format the cache
-// persistence layer uses). That buys three things a pointer-passing
+// genuinely serialized to bytes and parsed back on the far side (through
+// BinaryWriter and BinaryReader, src/common/binary_io.h, the codec of
+// every binary format). That buys three things a pointer-passing
 // shortcut would not:
 //   * the modeled network cost (rpc::NetworkCostModel) charges real
 //     payload sizes, so "chatty" protocols show up in benches;

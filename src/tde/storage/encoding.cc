@@ -165,16 +165,22 @@ StatusOr<std::shared_ptr<Column>> ColumnBuilder::Finish(
       }
     } else {
       col->encoding_ = Encoding::kPlain;
-      if (!strings_.empty()) {
-        // min/max over non-null strings
-        stats.has_min_max = true;
-        std::string mn = strings_[0], mx = strings_[0];
-        for (const std::string& s : strings_) {
-          if (CollatedCompare(s, mn, type_.collation) < 0) mn = s;
-          if (CollatedCompare(s, mx, type_.collation) > 0) mx = s;
+      const std::string* mn = nullptr;
+      const std::string* mx = nullptr;
+      for (size_t i = 0; i < strings_.size(); ++i) {
+        if (col->IsNull(static_cast<int64_t>(i))) continue;
+        const std::string& s = strings_[i];
+        if (mn == nullptr || CollatedCompare(s, *mn, type_.collation) < 0) {
+          mn = &s;
         }
-        stats.min = Value(mn);
-        stats.max = Value(mx);
+        if (mx == nullptr || CollatedCompare(s, *mx, type_.collation) > 0) {
+          mx = &s;
+        }
+      }
+      if (mn != nullptr) {
+        stats.has_min_max = true;
+        stats.min = Value(*mn);
+        stats.max = Value(*mx);
       }
       col->strings_ = std::move(strings_);
     }
@@ -191,13 +197,15 @@ StatusOr<std::shared_ptr<Column>> ColumnBuilder::Finish(
       // Plain doubles by default; RLE doubles only when forced (rare in
       // practice and the bit-cast payload makes runs unlikely).
       col->encoding_ = Encoding::kPlain;
-      if (!doubles_.empty()) {
+      double mn = 0, mx = 0;
+      for (size_t i = 0; i < doubles_.size(); ++i) {
+        if (col->IsNull(static_cast<int64_t>(i))) continue;
+        const double d = doubles_[i];
+        mn = stats.has_min_max ? std::min(mn, d) : d;
+        mx = stats.has_min_max ? std::max(mx, d) : d;
         stats.has_min_max = true;
-        double mn = doubles_[0], mx = doubles_[0];
-        for (double d : doubles_) {
-          mn = std::min(mn, d);
-          mx = std::max(mx, d);
-        }
+      }
+      if (stats.has_min_max) {
         stats.min = Value(mn);
         stats.max = Value(mx);
       }
@@ -212,27 +220,33 @@ StatusOr<std::shared_ptr<Column>> ColumnBuilder::Finish(
     payload = std::move(ints_);
   }
 
-  // min/max/distinct on the int payload (not meaningful for bit-cast
-  // doubles; skipped there).
-  if (type_.kind != TypeKind::kFloat64 && !payload.empty()) {
-    stats.has_min_max = true;
-    int64_t mn = payload[0], mx = payload[0];
-    for (int64_t v : payload) {
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
+  // min/max/distinct over the int payload's non-null rows (not meaningful
+  // for bit-cast doubles; skipped there).
+  if (type_.kind != TypeKind::kFloat64) {
+    int64_t mn = 0, mx = 0;
+    for (size_t i = 0; i < payload.size(); ++i) {
+      if (col->IsNull(static_cast<int64_t>(i))) continue;
+      const int64_t v = payload[i];
+      mn = stats.has_min_max ? std::min(mn, v) : v;
+      mx = stats.has_min_max ? std::max(mx, v) : v;
+      stats.has_min_max = true;
     }
-    stats.min = Value(mn);
-    stats.max = Value(mx);
+    if (stats.has_min_max) {
+      stats.min = Value(mn);
+      stats.max = Value(mx);
+    }
     std::unordered_set<int64_t> distinct;
     // Bounded-effort distinct estimate.
     size_t probe = std::min<size_t>(payload.size(), 65536);
-    for (size_t i = 0; i < probe; ++i) distinct.insert(payload[i]);
+    for (size_t i = 0; i < probe; ++i) {
+      if (!col->IsNull(static_cast<int64_t>(i))) distinct.insert(payload[i]);
+    }
     if (probe == payload.size()) {
       stats.distinct_estimate = static_cast<int64_t>(distinct.size());
     } else {
-      // Linear extrapolation, capped by row count.
+      // Linear extrapolation, capped by the non-null row count.
       stats.distinct_estimate =
-          std::min<int64_t>(static_cast<int64_t>(payload.size()),
+          std::min<int64_t>(size_ - stats.null_count,
                             static_cast<int64_t>(distinct.size()) *
                                 static_cast<int64_t>(payload.size() / probe));
     }

@@ -1,7 +1,9 @@
 #include "src/tde/storage/file_format.h"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
+
+#include "src/common/binary_io.h"
 
 namespace vizq::tde {
 
@@ -9,138 +11,29 @@ namespace {
 
 constexpr uint32_t kMagic = 0x56514445;  // 'VQDE'
 constexpr uint32_t kVersion = 1;
-// Largest valid enum tags in a column header.
-constexpr uint8_t kMaxTypeKind = static_cast<uint8_t>(TypeKind::kDate);
-constexpr uint8_t kMaxCollation =
-    static_cast<uint8_t>(Collation::kCaseInsensitive);
-constexpr uint8_t kMaxEncoding = static_cast<uint8_t>(Encoding::kDelta);
 
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-void PutDouble(std::string* out, double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, 8);
-  PutU64(out, bits);
-}
+// Smallest encodings, in bytes, of the elements a count prefixes. A
+// schema: name, table count. A table: name, row count, column count, sort
+// column count. A column: name, three tags, size, has_min_max, null min
+// and max, distinct estimate, null count, the counts of the null mask and
+// four payloads, delta base, delta count, dictionary flag.
+constexpr size_t kMinSchemaBytes = 4 + 4;
+constexpr size_t kMinTableBytes = 4 + 8 + 4 + 4;
+constexpr size_t kMinColumnBytes =
+    4 + 3 + 8 + 1 + 1 + 1 + 8 + 8 + 5 * 8 + 8 + 8 + 1;
 
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : data_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
+// Reads a u64 count of elements that take at least `min_elem_bytes` each,
+// then the elements.
+template <typename T, typename ReadOne>
+bool ReadVector(BinaryReader* r, size_t min_elem_bytes, std::vector<T>* out,
+                ReadOne read_one) {
+  uint64_t n;
+  if (!r->Count(&n, min_elem_bytes)) return false;
+  out->resize(n);
+  for (T& v : *out) {
+    if (!read_one(&v)) return false;
   }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    std::memcpy(v, data_.data() + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    std::memcpy(v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool GetI64(int64_t* v) {
-    uint64_t u;
-    if (!GetU64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool GetDouble(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, 8);
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint32_t n;
-    if (!GetU32(&n)) return false;
-    if (pos_ + n > data_.size()) return false;
-    s->assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
-  // Upper bound on how many `elem_bytes`-sized elements can still follow;
-  // guards resize() calls against corrupt length fields.
-  bool Fits(uint64_t count, size_t elem_bytes) const {
-    return count <= (data_.size() - pos_) / elem_bytes;
-  }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
-void PutValue(std::string* out, const Value& v) {
-  if (v.is_null()) {
-    PutU8(out, 0);
-  } else if (v.is_bool()) {
-    PutU8(out, 1);
-    PutU8(out, v.bool_value() ? 1 : 0);
-  } else if (v.is_int()) {
-    PutU8(out, 2);
-    PutI64(out, v.int_value());
-  } else if (v.is_double()) {
-    PutU8(out, 3);
-    PutDouble(out, v.double_value());
-  } else {
-    PutU8(out, 4);
-    PutString(out, v.string_value());
-  }
-}
-
-bool GetValue(Reader* r, Value* v) {
-  uint8_t tag;
-  if (!r->GetU8(&tag)) return false;
-  switch (tag) {
-    case 0: *v = Value::Null(); return true;
-    case 1: {
-      uint8_t b;
-      if (!r->GetU8(&b)) return false;
-      *v = Value(b != 0);
-      return true;
-    }
-    case 2: {
-      int64_t i;
-      if (!r->GetI64(&i)) return false;
-      *v = Value(i);
-      return true;
-    }
-    case 3: {
-      double d;
-      if (!r->GetDouble(&d)) return false;
-      *v = Value(d);
-      return true;
-    }
-    case 4: {
-      std::string s;
-      if (!r->GetString(&s)) return false;
-      *v = Value(std::move(s));
-      return true;
-    }
-    default:
-      return false;
-  }
+  return true;
 }
 
 }  // namespace
@@ -148,220 +41,261 @@ bool GetValue(Reader* r, Value* v) {
 // Serializes Column internals; a friend of Column.
 class ColumnSerializer {
  public:
-  static void Pack(const Column& col, std::string* out) {
-    PutU8(out, static_cast<uint8_t>(col.type_.kind));
-    PutU8(out, static_cast<uint8_t>(col.type_.collation));
-    PutU8(out, static_cast<uint8_t>(col.encoding_));
-    PutI64(out, col.size_);
+  static void Pack(const Column& col, BinaryWriter* w) {
+    w->U8(static_cast<uint8_t>(col.type_.kind));
+    w->U8(static_cast<uint8_t>(col.type_.collation));
+    w->U8(static_cast<uint8_t>(col.encoding_));
+    w->I64(col.size_);
     // stats
-    PutU8(out, col.stats_.has_min_max ? 1 : 0);
-    PutValue(out, col.stats_.min);
-    PutValue(out, col.stats_.max);
-    PutI64(out, col.stats_.distinct_estimate);
-    PutI64(out, col.stats_.null_count);
+    w->U8(col.stats_.has_min_max ? 1 : 0);
+    w->Val(col.stats_.min);
+    w->Val(col.stats_.max);
+    w->I64(col.stats_.distinct_estimate);
+    w->I64(col.stats_.null_count);
     // null mask
-    PutU64(out, col.nulls_.size());
-    out->append(reinterpret_cast<const char*>(col.nulls_.data()),
-                col.nulls_.size());
+    w->U64(col.nulls_.size());
+    for (uint8_t b : col.nulls_) w->U8(b);
     // payloads
-    PutU64(out, col.ints_.size());
-    for (int64_t v : col.ints_) PutI64(out, v);
-    PutU64(out, col.doubles_.size());
-    for (double v : col.doubles_) PutDouble(out, v);
-    PutU64(out, col.strings_.size());
-    for (const std::string& s : col.strings_) PutString(out, s);
-    PutU64(out, col.runs_.size());
+    w->U64(col.ints_.size());
+    for (int64_t v : col.ints_) w->I64(v);
+    w->U64(col.doubles_.size());
+    for (double v : col.doubles_) w->F64(v);
+    w->U64(col.strings_.size());
+    for (const std::string& s : col.strings_) w->Str(s);
+    w->U64(col.runs_.size());
     for (const RleRun& run : col.runs_) {
-      PutI64(out, run.value);
-      PutI64(out, run.start);
-      PutI64(out, run.count);
+      w->I64(run.value);
+      w->I64(run.start);
+      w->I64(run.count);
     }
-    PutI64(out, col.delta_base_);
-    PutU64(out, col.deltas_.size());
-    for (int32_t d : col.deltas_) PutU32(out, static_cast<uint32_t>(d));
+    w->I64(col.delta_base_);
+    w->U64(col.deltas_.size());
+    for (int32_t d : col.deltas_) w->U32(static_cast<uint32_t>(d));
     // dictionary
     if (col.dictionary_ != nullptr) {
-      PutU8(out, 1);
-      PutU8(out, static_cast<uint8_t>(col.dictionary_->collation()));
-      PutU64(out, col.dictionary_->values().size());
-      for (const std::string& s : col.dictionary_->values()) PutString(out, s);
+      w->U8(1);
+      w->U8(static_cast<uint8_t>(col.dictionary_->collation()));
+      w->U64(col.dictionary_->values().size());
+      for (const std::string& s : col.dictionary_->values()) w->Str(s);
     } else {
-      PutU8(out, 0);
+      w->U8(0);
     }
   }
 
-  static StatusOr<std::shared_ptr<Column>> Unpack(Reader* r) {
+  // Reads one column of a table of `rows` rows.
+  static StatusOr<std::shared_ptr<Column>> Unpack(BinaryReader* r,
+                                                  int64_t rows) {
     auto col = std::make_shared<Column>();
-    uint8_t kind, collation, encoding;
-    if (!r->GetU8(&kind) || !r->GetU8(&collation) || !r->GetU8(&encoding)) {
-      return DataLoss("column header truncated");
+    if (!r->Enum(&col->type_.kind, TypeKind::kDate) ||
+        !r->Enum(&col->type_.collation, Collation::kCaseInsensitive) ||
+        !r->Enum(&col->encoding_, Encoding::kDelta)) {
+      return DataLoss("column header: truncated, or a bad type or encoding");
     }
-    if (kind > kMaxTypeKind || collation > kMaxCollation ||
-        encoding > kMaxEncoding) {
-      return DataLoss("column header: bad type or encoding tag");
-    }
-    col->type_.kind = static_cast<TypeKind>(kind);
-    col->type_.collation = static_cast<Collation>(collation);
-    col->encoding_ = static_cast<Encoding>(encoding);
-    if (!r->GetI64(&col->size_)) return DataLoss("column size truncated");
-    uint8_t has_mm;
-    if (!r->GetU8(&has_mm)) return DataLoss("column stats truncated");
-    col->stats_.has_min_max = has_mm != 0;
-    if (!GetValue(r, &col->stats_.min) || !GetValue(r, &col->stats_.max) ||
-        !r->GetI64(&col->stats_.distinct_estimate) ||
-        !r->GetI64(&col->stats_.null_count)) {
+    uint8_t has_min_max;
+    if (!r->I64(&col->size_) || !r->U8(&has_min_max) ||
+        !r->Val(&col->stats_.min) || !r->Val(&col->stats_.max) ||
+        !r->I64(&col->stats_.distinct_estimate) ||
+        !r->I64(&col->stats_.null_count)) {
       return DataLoss("column stats truncated");
     }
-    uint64_t n;
-    if (!r->GetU64(&n) || !r->Fits(n, 1)) {
-      return DataLoss("null mask truncated");
-    }
-    col->nulls_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->GetU8(&col->nulls_[i])) return DataLoss("null mask truncated");
-    }
-    if (!r->GetU64(&n) || !r->Fits(n, 8)) {
-      return DataLoss("int payload truncated");
-    }
-    col->ints_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->GetI64(&col->ints_[i])) return DataLoss("int payload truncated");
-    }
-    if (!r->GetU64(&n) || !r->Fits(n, 8)) {
-      return DataLoss("double payload truncated");
-    }
-    col->doubles_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->GetDouble(&col->doubles_[i])) {
-        return DataLoss("double payload truncated");
-      }
-    }
-    if (!r->GetU64(&n) || !r->Fits(n, 4)) {
-      return DataLoss("string payload truncated");
-    }
-    col->strings_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if (!r->GetString(&col->strings_[i])) {
-        return DataLoss("string payload truncated");
-      }
-    }
-    if (!r->GetU64(&n) || !r->Fits(n, 24)) {
-      return DataLoss("runs truncated");
-    }
-    col->runs_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      RleRun& run = col->runs_[i];
-      if (!r->GetI64(&run.value) || !r->GetI64(&run.start) ||
-          !r->GetI64(&run.count)) {
-        return DataLoss("runs truncated");
-      }
-    }
-    if (!r->GetI64(&col->delta_base_)) return DataLoss("delta truncated");
-    if (!r->GetU64(&n) || !r->Fits(n, 4)) {
-      return DataLoss("delta truncated");
-    }
-    col->deltas_.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t d;
-      if (!r->GetU32(&d)) return DataLoss("delta truncated");
-      col->deltas_[i] = static_cast<int32_t>(d);
+    col->stats_.has_min_max = has_min_max != 0;
+    if (!ReadVector(r, 1, &col->nulls_, [r](uint8_t* b) { return r->U8(b); }) ||
+        !ReadVector(r, 8, &col->ints_, [r](int64_t* v) { return r->I64(v); }) ||
+        !ReadVector(r, 8, &col->doubles_,
+                    [r](double* v) { return r->F64(v); }) ||
+        !ReadVector(r, 4, &col->strings_,
+                    [r](std::string* s) { return r->Str(s); }) ||
+        !ReadVector(r, 3 * 8, &col->runs_,
+                    [r](RleRun* run) {
+                      return r->I64(&run->value) && r->I64(&run->start) &&
+                             r->I64(&run->count);
+                    }) ||
+        !r->I64(&col->delta_base_) ||
+        !ReadVector(r, 4, &col->deltas_, [r](int32_t* d) {
+          uint32_t u;
+          if (!r->U32(&u)) return false;
+          *d = static_cast<int32_t>(u);
+          return true;
+        })) {
+      return DataLoss("column payload truncated");
     }
     uint8_t has_dict;
-    if (!r->GetU8(&has_dict)) return DataLoss("dictionary flag truncated");
+    if (!r->U8(&has_dict)) return DataLoss("dictionary flag truncated");
     if (has_dict != 0) {
-      uint8_t dict_collation;
+      Collation collation;
       uint64_t entries;
-      if (!r->GetU8(&dict_collation) || !r->GetU64(&entries)) {
-        return DataLoss("dictionary header truncated");
+      if (!r->Enum(&collation, Collation::kCaseInsensitive) ||
+          !r->Count(&entries, 4)) {
+        return DataLoss("dictionary header: truncated, or a bad collation");
       }
-      if (dict_collation > kMaxCollation) {
-        return DataLoss("dictionary header: bad collation tag");
-      }
-      auto dict = std::make_shared<StringDictionary>(
-          static_cast<Collation>(dict_collation));
+      auto dict = std::make_shared<StringDictionary>(collation);
+      std::string s;
       for (uint64_t i = 0; i < entries; ++i) {
-        std::string s;
-        if (!r->GetString(&s)) return DataLoss("dictionary truncated");
+        if (!r->Str(&s)) return DataLoss("dictionary truncated");
         dict->Intern(s);
       }
       col->dictionary_ = std::move(dict);
     }
+    VIZQ_RETURN_IF_ERROR(Check(*col, rows));
     return col;
+  }
+
+ private:
+  // What the decoders rely on and ColumnBuilder guarantees: the encoding
+  // fits the type, the payload it reads holds one element per row (and
+  // the others none), RLE runs tile the rows, delta sums stay in range,
+  // the null mask is empty or one byte per row, and every token indexes
+  // the dictionary.
+  static Status Check(const Column& col, int64_t rows) {
+    auto corrupt = [](const std::string& what) {
+      return DataLoss("column payload: " + what);
+    };
+    const int64_t n = col.size_;
+    if (n != rows) {
+      return corrupt("size " + std::to_string(n) + " is not the table's " +
+                     std::to_string(rows) + " rows");
+    }
+    const TypeKind kind = col.type_.kind;
+    const Encoding enc = col.encoding_;
+    const bool is_string = kind == TypeKind::kString;
+    const bool is_float = kind == TypeKind::kFloat64;
+    // Strings are plain, or dictionary tokens stored flat or as RLE runs;
+    // doubles are plain or RLE bit patterns; bool, int64 and date take
+    // plain, RLE or delta.
+    const bool tokens = is_string && enc != Encoding::kPlain;
+    if ((is_string && enc == Encoding::kDelta) ||
+        (!is_string && enc == Encoding::kDictionary) ||
+        (is_float && enc == Encoding::kDelta)) {
+      return corrupt(std::string(EncodingToString(enc)) +
+                     " encoding does not fit the type");
+    }
+    if ((col.dictionary_ != nullptr) != tokens ||
+        (tokens && col.dictionary_->collation() != col.type_.collation)) {
+      return corrupt("dictionary does not fit the encoding");
+    }
+    auto holds = [](const auto& payload, int64_t want) {
+      return static_cast<int64_t>(payload.size()) == want;
+    };
+    const bool plain = enc == Encoding::kPlain;
+    const bool flat_ints =
+        enc == Encoding::kDictionary || (plain && !is_string && !is_float);
+    if (!holds(col.ints_, flat_ints ? n : 0) ||
+        !holds(col.doubles_, plain && is_float ? n : 0) ||
+        !holds(col.strings_, plain && is_string ? n : 0) ||
+        !holds(col.deltas_,
+               enc == Encoding::kDelta ? std::max<int64_t>(n - 1, 0) : 0) ||
+        (enc != Encoding::kRle && !col.runs_.empty())) {
+      return corrupt("payload length does not match the row count");
+    }
+    if (!col.nulls_.empty() && !holds(col.nulls_, n)) {
+      return corrupt("null mask length does not match the row count");
+    }
+    int64_t covered = 0;
+    for (const RleRun& run : col.runs_) {
+      if (run.start != covered || run.count <= 0 || run.count > n - covered) {
+        return corrupt("RLE runs do not tile the rows");
+      }
+      covered += run.count;
+    }
+    if (enc == Encoding::kRle && covered != n) {
+      return corrupt("RLE runs do not tile the rows");
+    }
+    int64_t value = col.delta_base_;
+    for (int32_t d : col.deltas_) {
+      if (__builtin_add_overflow(value, d, &value)) {
+        return corrupt("delta sum overflows");
+      }
+    }
+    if (tokens) {
+      const int64_t size = col.dictionary_->size();
+      auto outside = [size](int64_t token) {
+        return token < 0 || token >= size;
+      };
+      if (std::any_of(col.ints_.begin(), col.ints_.end(), outside) ||
+          std::any_of(col.runs_.begin(), col.runs_.end(),
+                      [&](const RleRun& run) { return outside(run.value); })) {
+        return corrupt("token outside the dictionary");
+      }
+    }
+    return OkStatus();
   }
 };
 
 std::string DatabaseSerializer::Pack(const Database& db) {
-  std::string out;
-  PutU32(&out, kMagic);
-  PutU32(&out, kVersion);
-  PutString(&out, db.name_);
-  PutU32(&out, static_cast<uint32_t>(db.schemas_.size()));
+  BinaryWriter w;
+  w.U32(kMagic);
+  w.U32(kVersion);
+  w.Str(db.name_);
+  w.U32(static_cast<uint32_t>(db.schemas_.size()));
   for (const auto& [sname, tables] : db.schemas_) {
-    PutString(&out, sname);
-    PutU32(&out, static_cast<uint32_t>(tables.size()));
+    w.Str(sname);
+    w.U32(static_cast<uint32_t>(tables.size()));
     for (const auto& [tname, table] : tables) {
-      PutString(&out, tname);
-      PutI64(&out, table->num_rows_);
-      PutU32(&out, static_cast<uint32_t>(table->schema_.size()));
+      w.Str(tname);
+      w.I64(table->num_rows_);
+      w.U32(static_cast<uint32_t>(table->schema_.size()));
       for (size_t i = 0; i < table->schema_.size(); ++i) {
-        PutString(&out, table->schema_[i].name);
-        ColumnSerializer::Pack(*table->columns_[i], &out);
+        w.Str(table->schema_[i].name);
+        ColumnSerializer::Pack(*table->columns_[i], &w);
       }
-      PutU32(&out, static_cast<uint32_t>(table->sort_columns_.size()));
-      for (int sc : table->sort_columns_) PutU32(&out, static_cast<uint32_t>(sc));
+      w.U32(static_cast<uint32_t>(table->sort_columns_.size()));
+      for (int sc : table->sort_columns_) w.U32(static_cast<uint32_t>(sc));
     }
   }
-  return out;
+  return w.TakeBytes();
 }
 
 StatusOr<std::shared_ptr<Database>> DatabaseSerializer::Unpack(
     const std::string& bytes) {
-  Reader r(bytes);
+  BinaryReader r(bytes);
   uint32_t magic, version;
-  if (!r.GetU32(&magic) || magic != kMagic) {
+  if (!r.U32(&magic) || magic != kMagic) {
     return DataLoss("not a VizQuery extract file");
   }
-  if (!r.GetU32(&version) || version != kVersion) {
+  if (!r.U32(&version) || version != kVersion) {
     return DataLoss("unsupported extract version");
   }
   std::string db_name;
-  if (!r.GetString(&db_name)) return DataLoss("truncated header");
+  uint32_t nschemas;
+  if (!r.Str(&db_name) || !r.Count(&nschemas, kMinSchemaBytes)) {
+    return DataLoss("truncated header");
+  }
   auto db = std::make_shared<Database>(db_name);
   db->schemas_.clear();
-  uint32_t nschemas;
-  if (!r.GetU32(&nschemas)) return DataLoss("truncated schema count");
   for (uint32_t s = 0; s < nschemas; ++s) {
     std::string sname;
     uint32_t ntables;
-    if (!r.GetString(&sname) || !r.GetU32(&ntables)) {
+    if (!r.Str(&sname) || !r.Count(&ntables, kMinTableBytes)) {
       return DataLoss("truncated schema");
     }
     auto& tables = db->schemas_[sname];
     for (uint32_t t = 0; t < ntables; ++t) {
-      std::string tname;
-      if (!r.GetString(&tname)) return DataLoss("truncated table name");
       auto table = std::make_shared<Table>();
-      table->name_ = tname;
-      if (!r.GetI64(&table->num_rows_)) return DataLoss("truncated rows");
       uint32_t ncols;
-      if (!r.GetU32(&ncols)) return DataLoss("truncated columns");
+      if (!r.Str(&table->name_) || !r.I64(&table->num_rows_) ||
+          !r.Count(&ncols, kMinColumnBytes)) {
+        return DataLoss("truncated table header");
+      }
+      if (table->num_rows_ < 0) return DataLoss("negative row count");
       for (uint32_t c = 0; c < ncols; ++c) {
         ColumnInfo ci;
-        if (!r.GetString(&ci.name)) return DataLoss("truncated column name");
+        if (!r.Str(&ci.name)) return DataLoss("truncated column name");
         VIZQ_ASSIGN_OR_RETURN(std::shared_ptr<Column> col,
-                              ColumnSerializer::Unpack(&r));
+                              ColumnSerializer::Unpack(&r, table->num_rows_));
         ci.type = col->type();
         table->schema_.push_back(std::move(ci));
         table->columns_.push_back(std::move(col));
       }
       uint32_t nsort;
-      if (!r.GetU32(&nsort)) return DataLoss("truncated sort metadata");
+      if (!r.Count(&nsort, 4)) return DataLoss("truncated sort metadata");
       for (uint32_t i = 0; i < nsort; ++i) {
         uint32_t sc;
-        if (!r.GetU32(&sc)) return DataLoss("truncated sort metadata");
+        if (!r.U32(&sc)) return DataLoss("truncated sort metadata");
+        if (sc >= ncols) return DataLoss("sort column out of range");
         table->sort_columns_.push_back(static_cast<int>(sc));
       }
-      tables.emplace(tname, std::move(table));
+      std::string tname = table->name_;
+      tables.emplace(std::move(tname), std::move(table));
     }
   }
   if (!r.AtEnd()) return DataLoss("trailing bytes in extract file");

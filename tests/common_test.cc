@@ -228,6 +228,26 @@ TEST(BinaryIoTest, AllFieldKindsRoundTrip) {
   // Reading past the end fails cleanly.
   uint8_t extra;
   EXPECT_FALSE(r.U8(&extra));
+
+  // Count() fails unless that many elements of the given smallest size
+  // fit in the bytes left; Enum() fails on a tag past the enum's last.
+  BinaryWriter counted;
+  counted.U32(2);
+  counted.U64(0);
+  uint32_t n;
+  BinaryReader fits(counted.bytes());
+  EXPECT_TRUE(fits.Count(&n, 4));
+  EXPECT_EQ(n, 2u);
+  BinaryReader too_many(counted.bytes());
+  EXPECT_FALSE(too_many.Count(&n, 5));
+  BinaryWriter tags;
+  tags.U8(1);
+  tags.U8(2);
+  BinaryReader t(tags.bytes());
+  Collation collation = Collation::kBinary;
+  EXPECT_TRUE(t.Enum(&collation, Collation::kCaseInsensitive));
+  EXPECT_EQ(collation, Collation::kCaseInsensitive);
+  EXPECT_FALSE(t.Enum(&collation, Collation::kCaseInsensitive));
 }
 
 TEST(RngTest, DeterministicAndZipfSkewed) {

@@ -126,6 +126,20 @@ TEST(MetricsRegistryTest, ExpositionFormats) {
   const JsonValue* hits = counters->Find("cache.hits");
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ(static_cast<int64_t>(hits->number()), 7);
+  // Names with control characters are escaped in both JSON exports.
+  registry.Add("tab\tname", 1);
+  parsed = ParseJson(registry.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_NE(parsed->Find("counters"), nullptr);
+  EXPECT_NE(parsed->Find("counters")->Find("tab\tname"), nullptr);
+  ExecContext ctx;
+  ctx.StartSpan("tab\tspan")->End();
+  parsed = ParseJson(ctx.trace()->ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue* children = parsed->Find("children");
+  ASSERT_TRUE(children != nullptr && children->array().size() == 1);
+  ASSERT_NE(children->array()[0].Find("name"), nullptr);
+  EXPECT_EQ(children->array()[0].Find("name")->string(), "tab\tspan");
 }
 
 TEST(MetricsRegistryTest, GlobalSinkReceivesExecContextMetrics) {
@@ -160,6 +174,7 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{\"a\": }").ok());
   EXPECT_FALSE(ParseJson("[1, 2,]").ok());
   EXPECT_FALSE(ParseJson("{} trailing").ok());
+  EXPECT_FALSE(ParseJson("[\"raw\ttab\"]").ok());
 }
 
 TEST(JsonTest, ValidateChromeTraceCatchesSchemaViolations) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/tde/engine.h"
 #include "src/tde/storage/column.h"
@@ -135,6 +138,46 @@ TEST(ColumnEncodingTest, StatsMinMaxDistinct) {
   EXPECT_EQ(col->stats().min.int_value(), 1);
   EXPECT_EQ(col->stats().max.int_value(), 9);
   EXPECT_EQ(col->stats().distinct_estimate, 4);
+}
+
+// Stats cover non-null rows only: the 0 or "" a null row stores is not a
+// value, and a nullable key's dense domain is its values' span.
+TEST(ColumnEncodingTest, StatsSkipNullRows) {
+  for (EncodingChoice choice :
+       {EncodingChoice::kForcePlain, EncodingChoice::kForceRle}) {
+    ColumnBuilder ints(DataType::Int64());
+    ints.AppendNull();
+    for (int64_t v = 100; v <= 105; ++v) ints.AppendInt(v);
+    ints.AppendNull();
+    auto col = *ints.Finish(choice);
+    ASSERT_TRUE(col->stats().has_min_max);
+    EXPECT_EQ(col->stats().min.int_value(), 100);
+    EXPECT_EQ(col->stats().max.int_value(), 105);
+    EXPECT_EQ(col->stats().distinct_estimate, 6);
+    EXPECT_EQ(col->stats().null_count, 2);
+  }
+  ColumnBuilder doubles(DataType::Float64());
+  doubles.AppendDouble(2.5);
+  doubles.AppendNull();
+  doubles.AppendDouble(4.0);
+  auto dcol = *doubles.Finish(EncodingChoice::kForcePlain);
+  ASSERT_TRUE(dcol->stats().has_min_max);
+  EXPECT_EQ(dcol->stats().min.double_value(), 2.5);
+  EXPECT_EQ(dcol->stats().max.double_value(), 4.0);
+  ColumnBuilder strings(DataType::String());
+  strings.AppendString("m");
+  strings.AppendNull();
+  strings.AppendString("z");
+  auto scol = *strings.Finish(EncodingChoice::kForcePlain);
+  ASSERT_TRUE(scol->stats().has_min_max);
+  EXPECT_EQ(scol->stats().min.string_value(), "m");
+  EXPECT_EQ(scol->stats().max.string_value(), "z");
+  ColumnBuilder all_null(DataType::Int64());
+  all_null.AppendNull();
+  all_null.AppendNull();
+  auto ncol = *all_null.Finish(EncodingChoice::kForcePlain);
+  EXPECT_FALSE(ncol->stats().has_min_max);
+  EXPECT_EQ(ncol->stats().distinct_estimate, 0);
 }
 
 // Property sweep: every encoding choice round-trips random data exactly.
@@ -289,6 +332,162 @@ TEST(FileFormatTest, CorruptImagesFailCleanly) {
             StatusCode::kDataLoss);
 }
 
+// Writes `v` little-endian at `at`.
+void PutI64(std::string* bytes, size_t at, int64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[at + i] = static_cast<char>(static_cast<uint64_t>(v) >> (8 * i));
+  }
+}
+
+// Unpack checks every column against its encoding and the table's row
+// count. Each case corrupts one field of a valid image and must fail with
+// kDataLoss: without the checks, the rewritten row counts and the flipped
+// token unpack, and the scan reads past the column's payload or past the
+// dictionary.
+TEST(FileFormatTest, CorruptColumnsFailUnpack) {
+  Database db("db");
+  TableBuilder builder("t", {{"h", DataType::Int64()},
+                             {"k", DataType::String()},
+                             {"r", DataType::Int64()},
+                             {"d", DataType::Int64()},
+                             {"n", DataType::Int64()},
+                             {"g", DataType::String()}});
+  builder.SetEncodingChoice(0, EncodingChoice::kForcePlain);
+  builder.SetEncodingChoice(1, EncodingChoice::kForceDictionary);
+  builder.SetEncodingChoice(2, EncodingChoice::kForceRle);
+  builder.SetEncodingChoice(3, EncodingChoice::kForceDelta);
+  builder.SetEncodingChoice(4, EncodingChoice::kForcePlain);
+  const char* letters[] = {"a", "b", "c"};
+  for (int64_t i = 0; i < 240; ++i) {
+    ASSERT_TRUE(builder
+                    .AddRow({Value(i % 24), Value(letters[i % 3]),
+                             Value(i / 60), Value(i),
+                             i % 5 == 0 ? Value::Null() : Value(i),
+                             Value(i < 120 ? "lo" : "hi")})
+                    .ok());
+  }
+  builder.DeclareSorted({3});
+  auto table = builder.Finish();
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_TRUE(db.AddTable(*table).ok());
+  const std::string image = DatabaseSerializer::Pack(db);
+  auto valid = DatabaseSerializer::Unpack(image);
+  ASSERT_TRUE(valid.ok()) << valid.status();
+  ASSERT_EQ((*(*valid)->GetTable("t"))->column(5)->encoding(), Encoding::kRle);
+  // The offset just past a one-letter, length-prefixed name. A table's row
+  // count follows its name. A column's fields follow its name: three tags
+  // (encoding at +2), the size at +3, has_min_max, min and max (9 bytes
+  // each for int stats, 1 when null), the distinct estimate and the null
+  // count, then the null mask and the payloads, each after a u64 count.
+  auto after = [&image](char name) {
+    size_t at = image.find(std::string("\x01\0\0\0", 4) + name);
+    EXPECT_NE(at, std::string::npos) << name;
+    return at + 5;
+  };
+  const size_t t = after('t'), h = after('h'), k = after('k'), r = after('r'),
+               d = after('d'), n = after('n'), g = after('g');
+  const size_t h_ints = h + 62;    // after int stats and two counts
+  const size_t k_tokens = k + 46;  // after null stats and two counts
+  const size_t g_runs = g + 70;    // after null stats and five counts
+  const size_t r_runs = r + 86;    // after int stats and five counts
+  const size_t d_base = d + 86;    // after int stats and five counts
+  const size_t n_mask = n + 54;    // after int stats and the mask count
+  // The dictionary flag ends a column: after h's 240 ints and four counts
+  // and the delta base, after d's delta count and 239 deltas.
+  const size_t h_dict = h_ints + 240 * 8 + 5 * 8;
+  const size_t d_dict = d_base + 16 + 239 * 4;
+  auto add_empty_dictionary = [](std::string* b, size_t flag_at) {
+    (*b)[flag_at] = 1;
+    b->insert(flag_at + 1, std::string(1 + 8, '\0'));  // collation, count
+  };
+  struct Case {
+    const char* what;
+    std::function<void(std::string*)> corrupt;
+  };
+  const Case cases[] = {
+      {"table and column row counts past the payload",
+       [&](std::string* b) {
+         PutI64(b, t, 100000);
+         for (size_t c : {h, k, r, d, n, g}) PutI64(b, c + 3, 100000);
+       }},
+      {"table row count alone", [&](std::string* b) { PutI64(b, t, 241); }},
+      {"int payload one value short",
+       [&](std::string* b) {
+         PutI64(b, h_ints - 8, 239);
+         b->erase(h_ints, 8);
+       }},
+      {"dictionary token past the dictionary",
+       [&](std::string* b) { (*b)[k_tokens] ^= 0x40; }},
+      {"RLE run value past the dictionary",
+       [&](std::string* b) { PutI64(b, g_runs, 2); }},
+      {"RLE runs overlap",
+       [&](std::string* b) {
+         PutI64(b, r_runs + 16, 61);
+         PutI64(b, r_runs + 24 + 16, 59);
+       }},
+      {"RLE runs stop short",
+       [&](std::string* b) { PutI64(b, r_runs + 3 * 24 + 16, 59); }},
+      {"delta sum overflows",
+       [&](std::string* b) {
+         PutI64(b, d_base, std::numeric_limits<int64_t>::max() - 100);
+       }},
+      {"null mask one byte short",
+       [&](std::string* b) {
+         PutI64(b, n_mask - 8, 239);
+         b->erase(n_mask, 1);
+       }},
+      {"string column with delta encoding",
+       [&](std::string* b) {
+         (*b)[d] = static_cast<char>(TypeKind::kString);
+         add_empty_dictionary(b, d_dict);
+       }},
+      {"dictionary on an int column",
+       [&](std::string* b) { add_empty_dictionary(b, h_dict); }},
+      {"sort column past the columns",
+       [&](std::string* b) { (*b)[b->size() - 4] = 6; }},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = image;
+    c.corrupt(&bytes);
+    auto restored = DatabaseSerializer::Unpack(bytes);
+    EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss)
+        << c.what << ": " << restored.status();
+  }
+}
+
+// A nullable integer key over 100..105 keeps that domain through a
+// pack/unpack and groups dense: six value groups and one null group.
+TEST(FileFormatTest, NullableIntKeyGroupsOverItsValues) {
+  Database db("x");
+  TableBuilder builder("t", {{"h", DataType::Int64()}});
+  for (int64_t i = 0; i < 240; ++i) {
+    (void)builder.AddRow({i < 30 ? Value::Null() : Value(100 + i % 6)});
+  }
+  (void)db.AddTable(*builder.Finish());
+  auto restored = DatabaseSerializer::Unpack(DatabaseSerializer::Pack(db));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  auto table = (*restored)->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const ColumnStats& stats = (*table)->column(0)->stats();
+  ASSERT_TRUE(stats.has_min_max);
+  EXPECT_EQ(stats.min.int_value(), 100);
+  EXPECT_EQ(stats.max.int_value(), 105);
+  TdeEngine engine(*restored);
+  auto result = engine.Execute("(aggregate ((h h)) ((n count*)) (scan t))",
+                               QueryOptions::Serial());
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_NE(result->stats, nullptr);
+  EXPECT_TRUE(result->stats->used_encoded_path);
+  ASSERT_EQ(result->table.num_rows(), 7);
+  int64_t total = 0;
+  for (int64_t r = 0; r < 7; ++r) {
+    const int64_t n = result->table.at(r, 1).int_value();
+    total += n;
+    EXPECT_EQ(n, result->table.at(r, 0).is_null() ? 30 : 35) << r;
+  }
+  EXPECT_EQ(total, 240);
+}
+
 // A file's stored min/max size the dense grouping domain of an integer
 // key. Stats narrower than the data must fail the query with DataLoss (or
 // answer correctly), never index outside the dense cells.
@@ -304,15 +503,10 @@ TEST(FileFormatTest, IntKeyOutsideStoredStatsFailsTyped) {
   ASSERT_NE(name_at, std::string::npos);
   const size_t min_at = name_at + 5 + 3 + 8 + 1 + 1;
   const size_t max_at = min_at + 8 + 1;
-  auto put_i64 = [](std::string* b, size_t at, int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      (*b)[at + i] = static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)));
-    }
-  };
   std::string low_max = bytes;
-  put_i64(&low_max, max_at, 5);
+  PutI64(&low_max, max_at, 5);
   std::string high_min = bytes;
-  put_i64(&high_min, min_at, 10);
+  PutI64(&high_min, min_at, 10);
   for (const std::string& image : {low_max, high_min}) {
     auto restored = DatabaseSerializer::Unpack(image);
     ASSERT_TRUE(restored.ok()) << restored.status();
